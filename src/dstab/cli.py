@@ -15,15 +15,22 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .dstability import certify_thm1, certify_thm2, pole_margins
 from .errors import ConvergenceError, DstabError, RootFindingError, ScenarioError
 from .positivity import check_positive_siso
 from .regions import region_from_spec, region_to_spec, parts
-from .scenario import build_model, grid_codes, load_scenario, synthesize
-from .sim import metrics, simulate
+from .scenario import build_model, grid_codes, load_scenario, resolve_equilibrium, synthesize
+from .sim import Trajectory, metrics, simulate
 from .cpoly import feedback
 from .devices import map_subsystem
+
+
+# Values formatted per CSV chunk: large enough to amortize the formatting call,
+# small enough that a chunk of a 640-node table boxes a few megabytes of floats.
+_CSV_CHUNK_VALUES = 1 << 16
 
 
 def _fmt(value) -> str:
@@ -109,18 +116,19 @@ def cmd_check(args) -> int:
     import dataclasses
 
     sc = _load(args)
-    model = build_model(sc)
+    eq = resolve_equilibrium(sc)
+    model = build_model(sc, eq)
     # Source indices come from the scenario when pinned, otherwise from the
     # synthesis bounds (each source tuned to its maximum admissible index).
     if model.y_s is not None:
         y_s = [list(row) for row in model.y_s]
     else:
-        y_s = synthesize(sc)["y_s"]
+        y_s = synthesize(sc, eq)["y_s"]
         model = dataclasses.replace(model, y_s=tuple(tuple(row) for row in y_s))
     if args.theorem == 1:
         report = certify_thm1(model)
     else:
-        report = certify_thm2(model, grid_codes(sc), y_s)
+        report = certify_thm2(model, grid_codes(sc, eq), y_s)
     payload = {"scenario": sc.name, **report.as_dict()}
     _emit(dumps(payload), args.out)
     return 0 if report.certified else 1
@@ -134,6 +142,18 @@ def cmd_synthesize(args) -> int:
     return 0 if result["all_compliant"] else 1
 
 
+def _write_csv(tr: Trajectory, stream) -> None:
+    """Write the trajectory as CSV (t, du_1..du_n; values as %.12e) in chunks
+    of about _CSV_CHUNK_VALUES values, so the table is never held as text."""
+    n_cols = tr.du.shape[1] + 1
+    stream.write("t," + ",".join(f"du_{k + 1}" for k in range(n_cols - 1)) + "\n")
+    row_fmt = ",".join(["%.12e"] * n_cols) + "\n"
+    rows = max(1, _CSV_CHUNK_VALUES // n_cols)
+    for start in range(0, tr.t.shape[0], rows):
+        chunk = np.column_stack((tr.t[start : start + rows], tr.du[start : start + rows]))
+        stream.write((row_fmt * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+
+
 def cmd_simulate(args) -> int:
     sc = _load(args)
     if sc.disturbance is None:
@@ -141,17 +161,13 @@ def cmd_simulate(args) -> int:
     model = build_model(sc)
     tr = simulate(model, sc.disturbance, t_end=sc.t_end, dt=sc.dt)
     stats = metrics(tr, band=sc.band)
-    header = "t," + ",".join(f"du_{k + 1}" for k in range(tr.du.shape[1]))
-    rows = [header]
-    for i in range(tr.t.shape[0]):
-        rows.append(",".join([f"{tr.t[i]:.12e}"] + [f"{v:.12e}" for v in tr.du[i]]))
-    csv_text = "\n".join(rows) + "\n"
     if args.out:
         base = Path(args.out)
-        base.with_suffix(".csv").write_text(csv_text)
+        with base.with_suffix(".csv").open("w") as stream:
+            _write_csv(tr, stream)
         base.with_suffix(".metrics.json").write_text(dumps({"scenario": sc.name, **stats}))
     else:
-        sys.stdout.write(csv_text)
+        _write_csv(tr, sys.stdout)
         sys.stderr.write(dumps({"scenario": sc.name, **stats}) + "\n")
     return 0
 

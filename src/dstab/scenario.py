@@ -205,7 +205,23 @@ def load_scenario(path: str | Path) -> Scenario:
         except ValueError as exc:
             raise ScenarioError(f"bad disturbance: {exc}") from exc
 
-    sim_block = raw.get("simulation", {}) or {}
+    sim_block = raw.get("simulation") or {}
+    if not isinstance(sim_block, dict):
+        raise ScenarioError(f"simulation must be an object, got {sim_block!r}")
+    t_end, dt, band = (
+        _num(sim_block, key, "simulation") if key in sim_block else default
+        for key, default in (("t_end_s", 0.5), ("dt_s", 1e-4), ("band", 0.02))
+    )
+    for key, value in (("t_end_s", t_end), ("dt_s", dt)):
+        if not (math.isfinite(value) and value > 0):
+            raise ScenarioError(f"simulation.{key} must be a finite positive number, got {value!r}")
+    if not 0.0 < band < 1.0:
+        raise ScenarioError(f"simulation.band must lie in (0, 1), got {band!r}")
+    if disturbance is not None and t_end <= disturbance.start + disturbance.duration:
+        raise ScenarioError(
+            f"simulation.t_end_s ({t_end!r}) must exceed the end of the disturbance pulse "
+            f"({disturbance.start + disturbance.duration!r})"
+        )
     scenario = Scenario(
         name=str(raw.get("name", path.stem)),
         nominal_voltage=_num(raw, "nominal_voltage_volt", "scenario"),
@@ -217,9 +233,9 @@ def load_scenario(path: str | Path) -> Scenario:
         pinned_equilibrium=pinned,
         y_s=y_s,
         disturbance=disturbance,
-        t_end=float(sim_block.get("t_end_s", 0.5)),
-        dt=float(sim_block.get("dt_s", 1e-4)),
-        band=float(sim_block.get("band", 0.02)),
+        t_end=t_end,
+        dt=dt,
+        band=band,
         path=path,
     )
     scenario.network  # force topology validation (connectivity, Laplacian)
@@ -261,9 +277,10 @@ def source_coefficients(sc: Scenario, eq: dev.Equilibrium) -> tuple[dev.GenericS
     )
 
 
-def build_model(sc: Scenario) -> SystemModel:
-    """System model with subsystem transfer functions at the operating point."""
-    eq = resolve_equilibrium(sc)
+def build_model(sc: Scenario, eq: dev.Equilibrium | None = None) -> SystemModel:
+    """System model with subsystem transfer functions at the operating point
+    (``eq``, resolved here when not given)."""
+    eq = eq or resolve_equilibrium(sc)
     subsystems: list = [None] * sc.n_nodes
     for k in sc.partition.source_ids:
         subsystems[k] = dev.source_coeffs(sc.devices[k], eq.u_star[k]).tf
@@ -285,11 +302,11 @@ def grid_codes(sc: Scenario, eq: dev.Equilibrium | None = None) -> list[GridCode
     return [grid_code(sc.network, part, pairs) for part in parts(sc.region)]
 
 
-def synthesize(sc: Scenario) -> dict:
+def synthesize(sc: Scenario, eq: dev.Equilibrium | None = None) -> dict:
     """Per-part, per-source synthesis: grid codes, bounds, compliance and the
     chosen maximal indices.  Used by the synthesize command and as the y_s
     default for grid-code certification."""
-    eq = resolve_equilibrium(sc)
+    eq = eq or resolve_equilibrium(sc)
     codes = grid_codes(sc, eq)
     coeffs = source_coefficients(sc, eq)
     part_entries = []
@@ -298,17 +315,17 @@ def synthesize(sc: Scenario) -> dict:
         entries = []
         row = []
         for pos, k in enumerate(sc.partition.source_ids):
+            # Non-compliant devices report index 0; certification then fails
+            # on the network or device condition instead of propagating NaN.
             if not code.ll_assumption_ok:
                 entries.append({"node": k + 1, "compliant": False, "binding": "ll_assumption"})
-                row.append(math.nan)
+                row.append(0.0)
                 continue
             report = dev.check_compliance(coeffs[pos], code)
             entry = {"node": k + 1}
             entry.update(report.as_dict())
             entry.pop("positivity", None)
             entries.append(entry)
-            # Non-compliant devices report index 0; certification then fails
-            # on the network or device condition instead of propagating NaN.
             row.append(report.y_s if report.y_s is not None else 0.0)
         part_entries.append(entries)
         y_s_rows.append(row)

@@ -2,7 +2,8 @@
 
 The load disturbance is modeled as an additive current injection of
 ``magnitude * P / u*`` amps at the disturbed load node (the small-signal
-equivalent of a fractional load-power step), integrated with fixed-step RK4.
+equivalent of a fractional load-power step), integrated with fixed-step RK4
+through its exact one-step propagator.
 """
 
 from __future__ import annotations
@@ -15,6 +16,11 @@ import numpy as np
 
 from .dstability import SystemModel, assemble_closed_loop
 from .errors import DstabError
+
+# Column width of the in-place Horner evaluation of the RK4 propagator.
+_HORNER_COLS = 64
+# Longest run of steps advanced by one product with the stacked output maps.
+_MAX_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -83,37 +89,86 @@ def simulate(m: SystemModel, d: DisturbanceSpec, t_end: float = 0.5, dt: float =
 
     # Input column of the disturbed subsystem; an extra load draw enters the
     # device input with the same sign as the network current.
+    n_states, n_nodes = a_cl.shape[0], len(m.subsystems)
     dims = [g.den.degree for g in m.subsystems]
-    offset = sum(dims[:d.node])
-    b_d = np.zeros(a_cl.shape[0])
-    b_d[offset + dims[d.node] - 1] = -amps
+    b_d = np.zeros(n_states)
+    b_d[sum(dims[: d.node + 1]) - 1] = -amps
 
-    c_rows = np.zeros((len(dims), a_cl.shape[0]))
+    # Node k's output reads its own states through the numerator coefficients
+    # of its canonical realization, so the output map is kept as that gather.
+    width = max(len(g.num.coeffs) for g in m.subsystems)
+    out_idx = np.zeros((n_nodes, width), dtype=int)
+    out_coef = np.zeros((n_nodes, width))
     pos = 0
     for k, g in enumerate(m.subsystems):
-        for i, coeff in enumerate(g.num.coeffs):
-            c_rows[k, pos + i] = coeff.real
+        n_coef = len(g.num.coeffs)
+        out_idx[k] = pos
+        out_idx[k, :n_coef] += np.arange(n_coef)
+        out_coef[k, :n_coef] = [c.real for c in g.num.coeffs]
         pos += dims[k]
+
+    def output(states: np.ndarray) -> np.ndarray:
+        """C @ states for a state vector or a matrix of state columns."""
+        return np.einsum("kw,kw...->k...", out_coef, states[out_idx])
+
+    # With the input held over a step, one RK4 step of x' = A x + b w is
+    # exactly x <- P x + q w, where P = sum_{k<=4} (hA)^k / k! and
+    # q = h sum_{k<=3} (hA)^k / (k+1)! b.  Both are evaluated by Horner's
+    # rule, P one column block at a time (block j of hA P needs only block j
+    # of P) so that no third N x N array is live.
+    h_a = a_cl
+    h_a *= dt  # a_cl is not needed after eigvals
+    p = np.empty_like(h_a)
+    for j in range(0, n_states, _HORNER_COLS):
+        eye = np.eye(n_states, min(_HORNER_COLS, n_states - j), -j)
+        blk = eye + h_a[:, j : j + _HORNER_COLS] / 4
+        for k in (3, 2, 1):
+            blk = eye + h_a @ blk / k
+        p[:, j : j + _HORNER_COLS] = blk
+    q = b_d
+    for k in (4, 3, 2):
+        q = b_d + h_a @ q / k
+    q = dt * q
+    del a_cl, h_a  # only P and q are needed from here on
 
     n_steps = int(round(t_end / dt))
     t = np.linspace(0.0, n_steps * dt, n_steps + 1)
-    x = np.zeros(a_cl.shape[0])
-    du = np.zeros((n_steps + 1, len(dims)))
+    # The pulse is held constant over each step (sampled at the midpoint);
+    # exact whenever the edges align with the time grid.
+    mid = t[:-1] + 0.5 * dt
+    w = ((d.start <= mid) & (mid < d.start + d.duration)).astype(float)
 
-    def pulse(tau: float) -> float:
-        return 1.0 if d.start <= tau < d.start + d.duration else 0.0
+    # Over a run of constant input, the outputs of the next m steps are
+    # y_{i+j} = C P^j x_i + C s_j w (s_j = sum_{l<j} P^l q): one product with
+    # the stacked maps C P^j per block.  Their set-up (the maps and P^m) costs
+    # up to m N^3 against n_steps N^2 for stepping, so a block is at most
+    # n_steps / N steps long; below two steps no maps are built.
+    block = min(_MAX_BLOCK, n_steps // n_states)
+    if block > 1:
+        maps = np.empty((block, n_nodes, n_states))
+        maps[0] = output(p)
+        s = np.empty((block, n_states))
+        s[0] = q
+        for j in range(1, block):
+            maps[j] = maps[j - 1] @ p
+            s[j] = p @ s[j - 1] + q
+        maps = maps.reshape(block * n_nodes, n_states)
+        forced = output(s.T).T
+        p_block = np.linalg.matrix_power(p, block)
 
-    for step in range(n_steps):
-        tau = t[step]
-        # The pulse is held constant over each step (sampled at the midpoint);
-        # exact whenever the edges align with the time grid.
-        w = pulse(tau + 0.5 * dt)
-        k1 = a_cl @ x + b_d * w
-        k2 = a_cl @ (x + 0.5 * dt * k1) + b_d * w
-        k3 = a_cl @ (x + 0.5 * dt * k2) + b_d * w
-        k4 = a_cl @ (x + dt * k3) + b_d * w
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        du[step + 1] = c_rows @ x
+    x = np.zeros(n_states)
+    du = np.zeros((n_steps + 1, n_nodes))
+    starts = np.flatnonzero(np.diff(w, prepend=-1.0)).tolist()  # first step of each run
+    for start, stop in zip(starts, starts[1:] + [n_steps]):
+        w_run = w[start]
+        step = start
+        while block > 1 and stop - step >= block:
+            du[step + 1 : step + block + 1] = (maps @ x).reshape(block, n_nodes) + w_run * forced
+            x = p_block @ x + w_run * s[-1]
+            step += block
+        for step in range(step, stop):
+            x = p @ x + w_run * q
+            du[step + 1] = output(x)
     return Trajectory(t, du)
 
 

@@ -132,6 +132,27 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("theorem", ["1", "2"])
+    def test_failed_damping_assumption_exits_1(self, capsys, theorem):
+        # the load virtual admittance exceeds the network damping capacity:
+        # not certified, not a numerical failure
+        code, out, _ = run(capsys, "check", TOY, "--theorem", theorem,
+                           "--region", '{"kind": "lhp", "alpha": -20000}')
+        assert code == 1
+        assert json.loads(out)["certified"] is False
+
+    @pytest.mark.parametrize("theorem", ["1", "2"])
+    def test_one_equilibrium_solve_per_check(self, capsys, tmp_path, monkeypatch, theorem):
+        import dstab.devices as dev
+
+        calls = []
+        solve = dev.equilibrium_solve
+        monkeypatch.setattr(dev, "equilibrium_solve", lambda *a, **k: calls.append(1) or solve(*a, **k))
+        path = toy_variant(tmp_path, lambda raw: raw.update(equilibrium=None))
+        code, _, _ = run(capsys, "check", str(path), "--theorem", theorem)
+        assert code == 0
+        assert len(calls) == 1
+
     def test_pinned_equilibrium_validated(self, capsys, tmp_path):
         def corrupt(raw):
             raw["equilibrium"]["u_star_volt"][0] += 5.0
@@ -182,6 +203,63 @@ class TestSimulateCmd:
         code, _, _ = run(capsys, "simulate", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "simulation",
+        [
+            {"dt_s": -1e-4},
+            {"dt_s": 0},
+            {"dt_s": math.nan},
+            {"t_end_s": math.inf},
+            {"t_end_s": 0.06},  # before the end of the pulse (0.05 s + 0.02 s)
+            {"band": "x"},
+            {"band": 0.0},
+            {"band": 1.0},
+            {"band": math.nan},
+            [0.6, 2e-5],
+        ],
+        ids=["dt-negative", "dt-zero", "dt-nan", "t-end-inf", "t-end-in-pulse",
+             "band-string", "band-zero", "band-one", "band-nan", "not-an-object"],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "check"])
+    def test_bad_simulation_block_exits_2(self, capsys, tmp_path, simulation, command):
+        def mutate(raw):
+            if isinstance(simulation, dict):
+                raw["simulation"].update(simulation)
+            else:
+                raw["simulation"] = simulation
+
+        path = toy_variant(tmp_path, mutate)
+        code, _, err = run(capsys, command, str(path))
+        assert code == 2
+        assert '"error":"input"' in err and "simulation" in err
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    def test_csv_is_per_value_format(self, capsys, tmp_path, monkeypatch, to_file):
+        import numpy as np
+
+        import dstab.cli as cli
+        from dstab.sim import Trajectory
+
+        # more rows than one chunk, with values that test the formatting:
+        # negative zero, subnormals, three-digit exponents, mixed signs
+        rng = np.random.default_rng(7)
+        n_rows = 40_001
+        du = rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(-320, 308, (n_rows, 3))
+        du[:6, 0] = [-0.0, 5e-324, -2.5e-310, 1e-100, -1.0e300, 0.0]
+        t = np.linspace(0.0, 1.0, n_rows)
+        monkeypatch.setattr(cli, "simulate", lambda *a, **k: Trajectory(t, du))
+        expected = "t,du_1,du_2,du_3\n" + "".join(
+            ",".join(f"{v:.12e}" for v in (t[i], *du[i])) + "\n" for i in range(n_rows)
+        )
+        assert "-0.000000000000e+00" in expected and "e-310" in expected and "e+300" in expected
+        if to_file:
+            code, _, _ = run(capsys, "simulate", TOY, "--out", str(tmp_path / "run"))
+            text = (tmp_path / "run.csv").read_text()
+        else:
+            code, text, _ = run(capsys, "simulate", TOY)
+        assert code == 0
+        assert text == expected
+
 
 class TestPositivityCmd:
     def test_reports_all_nodes(self, capsys):
@@ -197,6 +275,15 @@ class TestDeterminism:
         _, out1, _ = run(capsys, "check", TOY)
         _, out2, _ = run(capsys, "check", TOY)
         assert out1 == out2
+
+    def test_byte_identical_simulate(self, capsys, tmp_path):
+        code1, out1, err1 = run(capsys, "simulate", TOY)
+        code2, out2, err2 = run(capsys, "simulate", TOY)
+        assert code1 == code2 == 0
+        assert out1 == out2 and err1 == err2
+        run(capsys, "simulate", TOY, "--out", str(tmp_path / "run"))
+        assert (tmp_path / "run.csv").read_text() == out1
+        assert (tmp_path / "run.metrics.json").read_text() + "\n" == err1
 
     def test_float_format(self):
         assert dumps({"x": 1.5}) == '{"x":1.500000000000e+00}'

@@ -39,6 +39,78 @@ def quiet_simulate(*args, **kwargs) -> Trajectory:
         return simulate(*args, **kwargs)
 
 
+def output_rows(m: SystemModel) -> np.ndarray:
+    """Dense output matrix: node k reads its own states through the
+    numerator coefficients of its canonical realization."""
+    c_rows = np.zeros((len(m.subsystems), sum(g.den.degree for g in m.subsystems)))
+    pos = 0
+    for k, g in enumerate(m.subsystems):
+        for i, coeff in enumerate(g.num.coeffs):
+            c_rows[k, pos + i] = coeff.real
+        pos += g.den.degree
+    return c_rows
+
+
+def rk4_reference(m: SystemModel, d: DisturbanceSpec, t_end: float, dt: float) -> Trajectory:
+    """The per-step RK4 loop that `simulate` replaces with its propagator."""
+    a_cl = assemble_closed_loop(m)
+    c_l, y_l = m.load_cy[m.network.partition.load_ids.index(d.node)]
+    amps = d.magnitude * y_l * m.equilibrium_u[d.node]
+    dims = [g.den.degree for g in m.subsystems]
+    b_d = np.zeros(a_cl.shape[0])
+    b_d[sum(dims[: d.node + 1]) - 1] = -amps
+    c_rows = output_rows(m)
+    n_steps = int(round(t_end / dt))
+    t = np.linspace(0.0, n_steps * dt, n_steps + 1)
+    x = np.zeros(a_cl.shape[0])
+    du = np.zeros((n_steps + 1, len(dims)))
+    for step in range(n_steps):
+        tau = t[step] + 0.5 * dt
+        w = 1.0 if d.start <= tau < d.start + d.duration else 0.0
+        k1 = a_cl @ x + b_d * w
+        k2 = a_cl @ (x + 0.5 * dt * k1) + b_d * w
+        k3 = a_cl @ (x + 0.5 * dt * k2) + b_d * w
+        k4 = a_cl @ (x + dt * k3) + b_d * w
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        du[step + 1] = c_rows @ x
+    return Trajectory(t, du)
+
+
+class TestPropagator:
+    """`simulate` advances by the RK4 one-step propagator, in blocks of up to
+    64 steps when n_steps // N allows it; the per-step loop is the reference."""
+
+    @pytest.mark.parametrize(
+        "start, duration, t_end, dt",
+        [
+            (0.0128, 0.0128, 0.0384, 1e-4),  # edges on the grid, runs of whole 64-step blocks
+            (0.01234, 0.00567, 0.0256, 1e-4),  # edges between grid points
+            (0.005, 0.0081, 0.02, 1e-4),  # runs of 50, 81 and 69 steps: partial blocks
+            (0.001, 0.002, 0.004, 1e-3),  # 4 steps on 5 states: no block, plain steps
+        ],
+        ids=["edges-on-grid", "edges-off-grid", "partial-blocks", "block-of-one"],
+    )
+    def test_matches_per_step_rk4(self, toy_model, start, duration, t_end, dt):
+        d = DisturbanceSpec(node=2, magnitude=0.01, start=start, duration=duration)
+        tr = quiet_simulate(toy_model, d, t_end=t_end, dt=dt)
+        ref = rk4_reference(toy_model, d, t_end, dt)
+        peak = float(np.max(np.abs(ref.du)))
+        assert peak > 0.0
+        assert np.array_equal(tr.t, ref.t)
+        assert float(np.max(np.abs(tr.du - ref.du))) <= 1e-12 * peak
+
+    def test_matches_per_step_rk4_on_ieee39(self):
+        from dstab.scenario import build_model, data_path, load_scenario
+
+        sc = load_scenario(data_path("ieee39_synthesized"))
+        model = build_model(sc)
+        # pulse from 0.1 s to 0.12 s: runs of 5000, 1000 and 1500 steps on 63 states
+        tr = quiet_simulate(model, sc.disturbance, t_end=0.15, dt=sc.dt)
+        ref = rk4_reference(model, sc.disturbance, 0.15, sc.dt)
+        peak = float(np.max(np.abs(ref.du)))
+        assert float(np.max(np.abs(tr.du - ref.du))) <= 1e-12 * peak
+
+
 class TestSimulate:
     def test_zero_magnitude_gives_zero_trajectory(self, toy_model):
         d = DisturbanceSpec(node=2, magnitude=0.0, start=0.05, duration=0.02)
@@ -65,12 +137,7 @@ class TestSimulate:
         ad = expm(a_cl * dt)
         bd = np.linalg.solve(a_cl, (ad - np.eye(a_cl.shape[0])) @ b)
         x = np.zeros(a_cl.shape[0])
-        c_rows = np.zeros((3, a_cl.shape[0]))
-        pos = 0
-        for k, g in enumerate(toy_model.subsystems):
-            for i, coeff in enumerate(g.num.coeffs):
-                c_rows[k, pos + i] = coeff.real
-            pos += g.den.degree
+        c_rows = output_rows(toy_model)
         worst = 0.0
         for step in range(len(tr.t) - 1):
             tau = tr.t[step] + 0.5 * dt  # input held constant over the step
