@@ -9,7 +9,6 @@ from .cpoly import (
     RealRationalMatrix2x2,
     feedback,
     real_equiv,
-    reduce,
     residue_at,
     roots,
     rotate,
@@ -59,17 +58,14 @@ from .network import (
 from .positivity import (
     FailedCondition,
     PositivityReport,
-    check_positive_matrix_sampled,
     check_positive_second_order,
     check_positive_siso,
     check_pr_real_matrix,
     complex_routh_hurwitz_quadratic,
-    nyquist_disk_check,
 )
 from .regions import (
     CompositeRegion,
     HalfPlaneRegion,
-    contains,
     horizontal_strip,
     map_to_nu,
     map_to_s,

@@ -18,14 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dstability import certify_thm1, certify_thm2, pole_margins
+from .dstability import certify_thm1, certify_thm2, loop_transformed, pole_margins
 from .errors import ConvergenceError, DstabError, RootFindingError, ScenarioError
 from .positivity import check_positive_siso
 from .regions import region_from_spec, region_to_spec, parts
 from .scenario import build_model, grid_codes, load_scenario, resolve_equilibrium, synthesize
 from .sim import Trajectory, metrics, simulate
-from .cpoly import feedback
-from .devices import map_subsystem
 
 
 # Values formatted per CSV chunk: large enough to amortize the formatting call,
@@ -118,17 +116,13 @@ def cmd_check(args) -> int:
     sc = _load(args)
     eq = resolve_equilibrium(sc)
     model = build_model(sc, eq)
+    codes = grid_codes(sc, eq) if args.theorem == 2 else None
     # Source indices come from the scenario when pinned, otherwise from the
     # synthesis bounds (each source tuned to its maximum admissible index).
-    if model.y_s is not None:
-        y_s = [list(row) for row in model.y_s]
-    else:
-        y_s = synthesize(sc, eq)["y_s"]
+    if model.y_s is None:
+        y_s = synthesize(sc, eq, codes)["y_s"]
         model = dataclasses.replace(model, y_s=tuple(tuple(row) for row in y_s))
-    if args.theorem == 1:
-        report = certify_thm1(model)
-    else:
-        report = certify_thm2(model, grid_codes(sc, eq), y_s)
+    report = certify_thm1(model) if args.theorem == 1 else certify_thm2(model, codes)
     payload = {"scenario": sc.name, **report.as_dict()}
     _emit(dumps(payload), args.out)
     return 0 if report.certified else 1
@@ -186,12 +180,8 @@ def cmd_positivity(args) -> int:
     payload = {"scenario": sc.name, "parts": []}
     all_ok = True
     for idx, part in enumerate(parts(model.region)):
-        rho = model.part_rho(part, idx)
-        phi = model.part_phi(part)
         nodes = []
-        for k, g in enumerate(model.subsystems):
-            g_hat = map_subsystem(g, part, float(phi[k]))
-            g_tilde = feedback(g_hat, complex(rho[k])) if rho[k] != 0 else g_hat
+        for k, g_tilde in enumerate(loop_transformed(model, part, idx)):
             report = check_positive_siso(g_tilde)
             all_ok = all_ok and report.is_positive
             nodes.append({
@@ -217,8 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("scenario", help="path to the scenario JSON file")
         p.add_argument("--region", help="override the scenario region (JSON spec)")
         p.add_argument("--out", help="write the report to this path instead of stdout")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized sweeps (core outputs are deterministic)")
         p.set_defaults(func=func)
         return p
 

@@ -2,8 +2,7 @@
 
 ``CPoly`` stores coefficients in ascending degree order; ``CRational`` keeps
 its denominator monic.  No pole-zero cancellation is ever performed
-implicitly -- cancellation can silently hide unstable hidden modes -- but an
-explicit :func:`reduce` utility exists for callers that want it.
+implicitly -- cancellation can silently hide unstable hidden modes.
 
 The root finder is an Aberth-Ehrlich simultaneous iteration; tests
 cross-check it against companion-matrix eigenvalues.
@@ -94,10 +93,6 @@ class CPoly:
         if self.degree <= 0:
             return CPoly.zero()
         return CPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
-
-    def conjugate_coeffs(self) -> CPoly:
-        """Polynomial with conjugated coefficients (roots are conjugated)."""
-        return CPoly(tuple(c.conjugate() for c in self.coeffs))
 
     def __add__(self, other: CPoly) -> CPoly:
         n = max(len(self.coeffs), len(other.coeffs))
@@ -271,14 +266,6 @@ class CRational:
     def poles(self) -> list[complex]:
         return roots(self.den)
 
-    def zeros(self) -> list[complex]:
-        return roots(self.num) if self.num.degree >= 1 else []
-
-
-def evaluate(r: CRational, z: complex) -> complex:
-    """Evaluate ``r`` at ``z``; raises :class:`PoleEvaluationError` near poles."""
-    return r(z)
-
 
 def substitute_affine(r: CRational, a: complex, b: complex) -> CRational:
     """The rational function nu -> r(a*nu + b) (degree-preserving, a != 0)."""
@@ -313,33 +300,6 @@ def residue_at(r: CRational, p: complex) -> complex:
     return r.num(p) / dval
 
 
-def reduce(r: CRational, tol: float = 1e-9) -> CRational:
-    """Cancel numerically common numerator/denominator roots.
-
-    Never called implicitly by the library.
-    """
-    if r.num.is_zero or r.num.degree == 0 or r.den.degree == 0:
-        return r
-    num_roots = roots(r.num)
-    den_roots = roots(r.den)
-    num_lead = r.num.coeffs[-1]
-    remaining_den = list(den_roots)
-    kept_num: list[complex] = []
-    for z in num_roots:
-        match = None
-        for i, q in enumerate(remaining_den):
-            if abs(z - q) <= tol * max(1.0, abs(q)):
-                match = i
-                break
-        if match is None:
-            kept_num.append(z)
-        else:
-            remaining_den.pop(match)
-    if len(kept_num) == len(num_roots):
-        return r
-    return CRational(CPoly.from_roots(kept_num, num_lead), CPoly.from_roots(remaining_den))
-
-
 @dataclass(frozen=True)
 class RealRationalMatrix2x2:
     """Real-rational 2x2 block [[re, -im], [im, re]] over a common denominator."""
@@ -354,16 +314,6 @@ class RealRationalMatrix2x2:
     @property
     def den(self) -> CPoly:
         return self.re.den
-
-    @property
-    def entries(self) -> tuple[tuple[CRational, CRational], tuple[CRational, CRational]]:
-        neg_im = CRational(self.im.num.scale(-1.0), self.im.den)
-        return ((self.re, neg_im), (self.im, self.re))
-
-    def __call__(self, z: complex) -> np.ndarray:
-        a = self.re(z)
-        b = self.im(z)
-        return np.array([[a, -b], [b, a]], dtype=complex)
 
 
 def real_equiv(r: CRational) -> RealRationalMatrix2x2:

@@ -1,9 +1,10 @@
 """System-level certification and the centralized pole oracle.
 
 Two independent routes to the same question.  The decentralized certifiers
-(`certify_decentralized`, `certify_grid_code`) verify only local positivity
-of the mapped, rotated, loop-transformed subsystems plus a semidefiniteness
-condition on the modified network, and never touch the coupled dynamics.
+(`certify_thm1`, `certify_thm2`) verify only local positivity of the mapped,
+rotated, loop-transformed subsystems (`loop_transformed`) plus a
+semidefiniteness condition on the modified network, and never touch the
+coupled dynamics.
 The brute-force oracle (`closed_loop_poles` / `verify_region`) assembles the
 full closed-loop state matrix and computes its spectrum, which makes the
 certifiers falsifiable in tests.
@@ -11,6 +12,7 @@ certifiers falsifiable in tests.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -29,17 +31,16 @@ class SystemModel:
     """Interconnected small-signal model: one SISO subsystem per node coupled
     through the admittance matrix.
 
-    ``phi`` (compensation angles) defaults to the region angle theta0 of the
-    part being certified; ``rho`` (loop-transform gains) defaults to the load
-    virtual admittances and minus the source positivity indices, derived from
-    ``load_cy`` (per-load (capacitance, conductance) pairs) and ``y_s``.
-    Explicit ``phi`` / ``rho`` override the defaults for every part.
+    Each subsystem is rotated by the region angle theta0 of the part being
+    certified.  ``rho`` (loop-transform gains) defaults to the load virtual
+    admittances and minus the source positivity indices, derived from
+    ``load_cy`` (per-load (capacitance, conductance) pairs) and ``y_s``; an
+    explicit ``rho`` overrides the default for every part.
     """
 
     subsystems: tuple[CRational, ...]
     network: AdmittanceMatrix
     region: Region
-    phi: tuple[float, ...] | None = None
     rho: tuple[complex, ...] | None = None
     load_cy: tuple[tuple[float, float], ...] | None = None
     y_s: tuple[tuple[float, ...], ...] | None = None
@@ -72,11 +73,6 @@ class SystemModel:
         if len(row) != n_s:
             raise ValueError(f"expected {n_s} source indices, got {len(row)}")
         return tuple(float(v) for v in row)
-
-    def part_phi(self, part: HalfPlaneRegion) -> np.ndarray:
-        if self.phi is not None:
-            return np.asarray(self.phi, dtype=float)
-        return np.full(self.network.n_nodes, part.theta0)
 
     def part_rho(self, part: HalfPlaneRegion, part_index: int) -> np.ndarray:
         if self.rho is not None:
@@ -203,19 +199,22 @@ def closed_loop_poles(m: SystemModel) -> list[complex]:
     return sorted(cleaned, key=lambda z: (z.real, z.imag))
 
 
+def loop_transformed(m: SystemModel, part: HalfPlaneRegion, part_index: int) -> list[CRational]:
+    """Every subsystem mapped into the nu-plane of ``part``, rotated by its
+    angle theta0 and closed through its loop-transform gain rho."""
+    out = []
+    for g, rho in zip(m.subsystems, m.part_rho(part, part_index)):
+        g_hat = map_subsystem(g, part, part.theta0)
+        out.append(feedback(g_hat, complex(rho)) if rho != 0 else g_hat)
+    return out
+
+
 def _certify_part(
     m: SystemModel, part: HalfPlaneRegion, part_index: int, *, theorem: str,
     grid_code: GridCode | None = None,
 ) -> PartCertificate:
-    phi = m.part_phi(part)
-    rho = m.part_rho(part, part_index)
     notes: list[str] = []
-
-    device_reports = []
-    for k, g in enumerate(m.subsystems):
-        g_hat = map_subsystem(g, part, float(phi[k]))
-        g_tilde = feedback(g_hat, complex(rho[k])) if rho[k] != 0 else g_hat
-        device_reports.append(check_positive_siso(g_tilde))
+    device_reports = [check_positive_siso(g) for g in loop_transformed(m, part, part_index)]
 
     if theorem == "thm2":
         assert grid_code is not None
@@ -229,7 +228,7 @@ def _certify_part(
         elif y_s and min(y_s) < grid_code.bound - 1e-9:
             notes.append(f"source index {min(y_s):.6g} below the network floor {grid_code.bound:.6g}")
     else:
-        y_tilde = rotate_network(m.network, phi) - np.diag(rho)
+        y_tilde = rotate_network(m.network, part.theta0) - np.diag(m.part_rho(part, part_index))
         network_ok, lam = check_rotated_psd(y_tilde)
         if not network_ok:
             notes.append(f"modified network has lambda_min = {lam:.6g} < 0")
@@ -270,10 +269,7 @@ def certify_thm2(
     model = m
     if y_s is not None:
         rows = y_s if y_s and isinstance(y_s[0], (list, tuple)) else [y_s] * len(region_parts)
-        model = SystemModel(
-            m.subsystems, m.network, m.region, m.phi, m.rho, m.load_cy,
-            tuple(tuple(float(v) for v in row) for row in rows), m.equilibrium_u,
-        )
+        model = dataclasses.replace(m, y_s=tuple(tuple(float(v) for v in row) for row in rows))
     certs = [
         _certify_part(model, part, idx, theorem="thm2", grid_code=codes[idx])
         for idx, part in enumerate(region_parts)

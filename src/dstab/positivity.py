@@ -8,9 +8,10 @@ between them -- no sampling), and (c) simple imaginary-axis poles with
 nonnegative real residues.
 
 ``check_pr_real_matrix`` verifies positive realness of the 2x2 real-rational
-embedding with an independent route: exact pole/residue checks plus a sampled
-and golden-section-refined frequency sweep of the minimum eigenvalue of the
-Hermitian part.  The pair gives a dual-route check of the same property.
+embedding with an independent frequency route: the same exact pole-location
+test, residue matrices at imaginary-axis poles, and a sampled and
+golden-section-refined sweep of the minimum eigenvalue of the Hermitian part.
+The pair gives a dual-route check of the same property.
 
 ``check_positive_second_order`` is the closed-form coefficient test for
 h = (a1*nu + a0) / (nu^2 + b1*nu + b0), and
@@ -28,7 +29,6 @@ from enum import Enum
 import numpy as np
 
 from .cpoly import (
-    CLUSTER_TOL,
     CPoly,
     CRational,
     RealRationalMatrix2x2,
@@ -111,17 +111,18 @@ def real_part_numerator(h: CRational) -> CPoly:
     return CPoly(tuple(complex(c) for c in prod))
 
 
-def _split_pole_conditions(
-    den_roots: list[complex],
-) -> tuple[list[complex], list[tuple[complex, int]], list[complex]]:
-    """Partition denominator roots for conditions (a) and (c).
+def _pole_conditions(
+    den: CPoly,
+) -> tuple[float, list[tuple[complex, complex]], list[tuple[complex, int]], list[complex]]:
+    """Condition (a) and the imaginary-axis split of the roots of ``den``.
 
-    Returns (poles subject to the location check, multiple clusters on the
-    imaginary axis, simple imaginary-axis poles).  A near-axis cluster of
-    size >= 2 is a multiplicity violation; its members are not additionally
-    reported as location violations, since a k-fold boundary root is only
-    resolved to ~eps^(1/k) and its members straddle the axis numerically.
+    Returns (location margin min -Re{p}, location witnesses, multiple clusters
+    on the imaginary axis, simple imaginary-axis poles).  A near-axis cluster
+    of size >= 2 is a multiplicity violation; its members are not additionally
+    checked for location, since a k-fold boundary root is only resolved to
+    ~eps^(1/k) and its members straddle the axis numerically.
     """
+    den_roots = roots(den) if den.degree >= 1 else []
     multi_axis: list[tuple[complex, int]] = []
     absorbed: set[int] = set()
     for center, mult in cluster_roots(den_roots, rel_tol=AXIS_MULT_TOL):
@@ -131,10 +132,12 @@ def _split_pole_conditions(
                 if abs(p - center) <= AXIS_MULT_TOL * max(1.0, abs(center)):
                     absorbed.add(i)
     location = [p for i, p in enumerate(den_roots) if i not in absorbed]
+    margin = min((-p.real for p in location), default=math.inf)
+    witnesses = [(p, complex(p.real)) for p in location if p.real > POLE_TOL]
     simple_axis = [
         c for c, m in cluster_roots(location) if m == 1 and abs(c.real) <= POLE_TOL
     ]
-    return location, multi_axis, simple_axis
+    return margin, witnesses, multi_axis, simple_axis
 
 
 def _nonneg_on_reals(n_poly: CPoly, h: CRational) -> tuple[float, list[tuple[float, float]]]:
@@ -196,16 +199,8 @@ def check_positive_siso(h: CRational) -> PositivityReport:
         # The zero function has no poles and zero real part everywhere.
         return PositivityReport(True, FailedCondition.NONE, (), 0.0)
 
-    den_roots = roots(h.den) if h.den.degree >= 1 else []
-    location_poles, multi_axis, simple_axis = _split_pole_conditions(den_roots)
-
     # (a) pole locations
-    margin_a = math.inf
-    pole_witnesses: list[tuple[complex, complex]] = []
-    for p in location_poles:
-        margin_a = min(margin_a, -p.real)
-        if p.real > POLE_TOL:
-            pole_witnesses.append((p, complex(p.real)))
+    margin_a, pole_witnesses, multi_axis, simple_axis = _pole_conditions(h.den)
 
     # (b) real part along the axis, decided through N(w)
     n_poly = real_part_numerator(h)
@@ -361,116 +356,6 @@ def _refined_minimum(f, grid: np.ndarray) -> tuple[float, float]:
     return best_w, best_v
 
 
-def _entry_matrix(entries) -> list[list[CRational]]:
-    rows = [list(row) for row in entries]
-    m = len(rows)
-    if any(len(row) != m for row in rows):
-        raise ValueError("matrix of rational functions must be square")
-    return rows
-
-
-def check_positive_matrix_sampled(entries, grid: np.ndarray | list[float]) -> PositivityReport:
-    """Best-effort positivity check for a square matrix of rational functions.
-
-    Pole and residue conditions are exact (per entry, residue matrices at
-    clustered imaginary-axis poles must be Hermitian PSD); the frequency
-    condition lambda_min(H(jw) + H(jw)^H) >= -tol is sampled on ``grid`` with
-    golden-section refinement near local minima.  Supply a sign-symmetric
-    grid for complex-coefficient entries: their response is not conjugate
-    symmetric.
-    """
-    rows = _entry_matrix(entries)
-    m = len(rows)
-    grid = np.asarray(list(grid), dtype=float)
-    if grid.size == 0:
-        raise ValueError("frequency grid must be nonempty")
-    for row in rows:
-        for h in row:
-            if not h.is_proper:
-                raise NonProperError("matrix entries must be proper")
-
-    scale = max(max(h.num.norm_inf / h.den.norm_inf for h in row) for row in rows)
-    scale = max(scale, 1e-300)
-
-    # exact pole check
-    margin_a = math.inf
-    pole_witnesses = []
-    mult_witnesses = []
-    axis_centers: list[complex] = []
-    entry_roots: dict[tuple[int, int], list[complex]] = {}
-    for i in range(m):
-        for j in range(m):
-            h = rows[i][j]
-            rts = roots(h.den) if (h.den.degree >= 1 and not h.num.is_zero) else []
-            entry_roots[(i, j)] = rts
-            location_poles, multi_axis, simple_axis = _split_pole_conditions(rts)
-            for p in location_poles:
-                margin_a = min(margin_a, -p.real)
-                if p.real > POLE_TOL:
-                    pole_witnesses.append((p, complex(p.real)))
-            for center, mult in multi_axis:
-                mult_witnesses.append((center, complex(mult)))
-            axis_centers.extend(simple_axis)
-    if pole_witnesses:
-        return PositivityReport(False, FailedCondition.POLE_LOCATION, tuple(pole_witnesses), min(margin_a, 0.0))
-    if mult_witnesses:
-        return PositivityReport(
-            False, FailedCondition.IMAGINARY_POLE_MULTIPLICITY, tuple(mult_witnesses), -1.0
-        )
-    margin_c = math.inf
-    residue_witnesses = []
-    for center, _ in cluster_roots(axis_centers):
-        K = np.zeros((m, m), dtype=complex)
-        for i in range(m):
-            for j in range(m):
-                h = rows[i][j]
-                near = [p for p in entry_roots[(i, j)] if abs(p - center) <= CLUSTER_TOL * max(1.0, abs(center))]
-                if near:
-                    try:
-                        K[i, j] = residue_at(h, center)
-                    except NotSimplePoleError:
-                        return PositivityReport(
-                            False, FailedCondition.IMAGINARY_POLE_MULTIPLICITY,
-                            ((center, complex(2)),), -1.0,
-                        )
-        herm_dev = float(np.max(np.abs(K - K.conj().T)))
-        kscale = max(float(np.max(np.abs(K))), 1e-300)
-        lam = float(np.linalg.eigvalsh((K + K.conj().T) / 2.0).min())
-        if herm_dev > 1e-7 * kscale:
-            residue_witnesses.append((center, complex(herm_dev)))
-            margin_c = min(margin_c, -herm_dev)
-        elif lam < -STRICT_TOL * kscale:
-            residue_witnesses.append((center, complex(lam)))
-            margin_c = min(margin_c, lam)
-        else:
-            margin_c = min(margin_c, lam)
-    if residue_witnesses:
-        return PositivityReport(False, FailedCondition.RESIDUE, tuple(residue_witnesses), min(margin_c, 0.0))
-
-    # sampled frequency condition
-    def lam_min(w: float) -> float:
-        H = np.empty((m, m), dtype=complex)
-        for i in range(m):
-            for j in range(m):
-                h = rows[i][j]
-                den_val = h.den(1j * w)
-                if abs(den_val) < 1e-10 * h.den.norm_inf * max(1.0, abs(w)) ** h.den.degree:
-                    return math.inf
-                H[i, j] = h.num(1j * w) / den_val
-        return float(np.linalg.eigvalsh(H + H.conj().T).min())
-
-    w_min, v_min = _refined_minimum(lam_min, grid)
-    margin_b = v_min / (2.0 * max(1.0, scale))
-    margin = min(margin_a, margin_b, margin_c)
-    if math.isinf(margin):
-        margin = margin_b
-    if margin_b < -STRICT_TOL:
-        return PositivityReport(
-            False, FailedCondition.REAL_PART, ((complex(w_min), complex(v_min)),), margin
-        )
-    return PositivityReport(True, FailedCondition.NONE, (), margin)
-
-
 def check_pr_real_matrix(M: RealRationalMatrix2x2, grid: np.ndarray | None = None) -> PositivityReport:
     """Positive-realness check of the 2x2 real-rational embedding.
 
@@ -486,15 +371,7 @@ def check_pr_real_matrix(M: RealRationalMatrix2x2, grid: np.ndarray | None = Non
         return PositivityReport(True, FailedCondition.NONE, (), 0.0)
 
     scale = max((M.re.num.norm_inf + M.im.num.norm_inf) / M.den.norm_inf, 1e-300)
-    den_roots = roots(M.den) if M.den.degree >= 1 else []
-    location_poles, multi_axis, simple_axis = _split_pole_conditions(den_roots)
-
-    margin_a = math.inf
-    pole_witnesses = []
-    for p in location_poles:
-        margin_a = min(margin_a, -p.real)
-        if p.real > POLE_TOL:
-            pole_witnesses.append((p, complex(p.real)))
+    margin_a, pole_witnesses, multi_axis, simple_axis = _pole_conditions(M.den)
     if pole_witnesses:
         return PositivityReport(False, FailedCondition.POLE_LOCATION, tuple(pole_witnesses), min(margin_a, 0.0))
     if multi_axis:
@@ -554,65 +431,3 @@ def check_pr_real_matrix(M: RealRationalMatrix2x2, grid: np.ndarray | None = Non
         )
     return PositivityReport(True, FailedCondition.NONE, (), margin)
 
-
-def nyquist_disk_check(h_hat: CRational, rho: float, grid: np.ndarray | list[float]) -> bool:
-    """Graphical test: response inside the disk of center (1/(2 rho), 0) and
-    radius 1/(2 rho), avoiding the point (1/rho, 0), plus the encirclement
-    count of ``rho * h_hat`` around -1 matching the unstable open-loop pole
-    count.
-
-    Complex coefficients make the response asymmetric in the sign of the
-    frequency, so the sweep runs over the whole axis; an all-nonnegative
-    ``grid`` is mirrored automatically.
-    """
-    if rho <= 0:
-        raise ValueError("disk test requires rho > 0")
-    grid = np.asarray(list(grid), dtype=float)
-    if grid.size == 0:
-        raise ValueError("frequency grid must be nonempty")
-    if np.all(grid >= 0.0):
-        grid = np.concatenate((-grid, grid))
-    omegas = np.unique(grid)
-
-    den_roots = roots(h_hat.den) if h_hat.den.degree >= 1 else []
-    if any(abs(p.real) <= POLE_TOL for p in den_roots):
-        return False  # imaginary-axis poles: the disk criterion cannot hold
-    n_unstable = sum(1 for p in den_roots if p.real > POLE_TOL)
-
-    center = 1.0 / (2.0 * rho)
-    radius_tol = center + 1e-9 * max(1.0, center)
-    avoid = 2.0 * center
-
-    def h_of(w: float) -> complex:
-        return h_hat.num(1j * w) / h_hat.den(1j * w)
-
-    values = [h_of(w) for w in omegas]
-    for v in values:
-        if abs(v - center) > radius_tol:
-            return False
-        if abs(v - avoid) <= 1e-9 * max(1.0, avoid):
-            return False
-
-    # winding number of 1 + rho*h around 0, with adaptive phase refinement
-    ws = list(omegas)
-    fs = [1.0 + rho * v for v in values]
-    for _ in range(40):
-        inserts = []
-        for i in range(len(ws) - 1):
-            d = cmath.phase(fs[i + 1] / fs[i]) if fs[i] != 0 else math.pi
-            if abs(d) > math.pi / 2:
-                inserts.append(i)
-        if not inserts:
-            break
-        for i in reversed(inserts):
-            wm = 0.5 * (ws[i] + ws[i + 1])
-            ws.insert(i + 1, wm)
-            fs.insert(i + 1, 1.0 + rho * h_of(wm))
-    total = 0.0
-    for i in range(len(fs) - 1):
-        if fs[i] == 0 or fs[i + 1] == 0:
-            return False
-        total += cmath.phase(fs[i + 1] / fs[i])
-    total += cmath.phase(fs[0] / fs[-1])  # closure through infinity
-    winding = total / (2.0 * math.pi)
-    return abs(winding - n_unstable) < 0.25

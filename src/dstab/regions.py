@@ -28,8 +28,21 @@ BOUNDARY_TOL = 1e-9
 _HALF_PI = math.pi / 2
 
 
+class _Membership:
+    """Closed-set membership and boundary classification from ``margin``."""
+
+    def contains(self, s: complex) -> bool:
+        return self.margin(s) >= -BOUNDARY_TOL
+
+    def classify(self, s: complex) -> str:
+        m = self.margin(s)
+        if abs(m) < BOUNDARY_TOL:
+            return "boundary"
+        return "inside" if m > 0 else "outside"
+
+
 @dataclass(frozen=True)
-class HalfPlaneRegion:
+class HalfPlaneRegion(_Membership):
     """Symmetric pole-placement region with parameters (theta0, omega0, sigma0).
 
     Membership requires both Re{e^{-j*theta0} (s - j*omega0)} <= sigma0 and
@@ -58,18 +71,9 @@ class HalfPlaneRegion:
     def margin(self, s: complex) -> float:
         return min(self.half_margins(s))
 
-    def contains(self, s: complex) -> bool:
-        return self.margin(s) >= -BOUNDARY_TOL
-
-    def classify(self, s: complex) -> str:
-        m = self.margin(s)
-        if abs(m) < BOUNDARY_TOL:
-            return "boundary"
-        return "inside" if m > 0 else "outside"
-
 
 @dataclass(frozen=True)
-class CompositeRegion:
+class CompositeRegion(_Membership):
     """Intersection of several half-plane regions, kept in user order.
 
     Margin ties between parts are broken by the first part so that reports
@@ -85,15 +89,6 @@ class CompositeRegion:
 
     def margin(self, s: complex) -> float:
         return min(p.margin(s) for p in self.parts)
-
-    def contains(self, s: complex) -> bool:
-        return self.margin(s) >= -BOUNDARY_TOL
-
-    def classify(self, s: complex) -> str:
-        m = self.margin(s)
-        if abs(m) < BOUNDARY_TOL:
-            return "boundary"
-        return "inside" if m > 0 else "outside"
 
 
 Region = HalfPlaneRegion | CompositeRegion
@@ -121,12 +116,6 @@ def horizontal_strip(gamma: float) -> HalfPlaneRegion:
     if gamma <= 0:
         raise InvalidRegionError(f"horizontal strip requires gamma > 0, got {gamma}")
     return HalfPlaneRegion(_HALF_PI, float(gamma), 0.0)
-
-
-def contains(region: Region, s: complex) -> tuple[bool, float]:
-    """Membership test returning (inside, margin); margin >= 0 means inside."""
-    m = region.margin(s)
-    return m >= -BOUNDARY_TOL, m
 
 
 def map_to_nu(region: HalfPlaneRegion, s: complex) -> complex:

@@ -302,12 +302,15 @@ def grid_codes(sc: Scenario, eq: dev.Equilibrium | None = None) -> list[GridCode
     return [grid_code(sc.network, part, pairs) for part in parts(sc.region)]
 
 
-def synthesize(sc: Scenario, eq: dev.Equilibrium | None = None) -> dict:
+def synthesize(
+    sc: Scenario, eq: dev.Equilibrium | None = None, codes: list[GridCode] | None = None,
+) -> dict:
     """Per-part, per-source synthesis: grid codes, bounds, compliance and the
     chosen maximal indices.  Used by the synthesize command and as the y_s
-    default for grid-code certification."""
+    default for grid-code certification.  ``eq`` and ``codes`` (the grid codes
+    at ``eq``) are resolved here when not given."""
     eq = eq or resolve_equilibrium(sc)
-    codes = grid_codes(sc, eq)
+    codes = codes or grid_codes(sc, eq)
     coeffs = source_coefficients(sc, eq)
     part_entries = []
     y_s_rows: list[list[float]] = []

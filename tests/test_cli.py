@@ -153,6 +153,18 @@ class TestCheck:
         assert code == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("theorem", ["1", "2"])
+    def test_one_grid_code_per_part(self, capsys, monkeypatch, theorem):
+        import dstab.scenario as scenario
+
+        calls = []
+        build = scenario.grid_code
+        monkeypatch.setattr(scenario, "grid_code", lambda *a, **k: calls.append(1) or build(*a, **k))
+        region = '[{"kind": "lhp", "alpha": -2.0}, {"kind": "sector", "beta": 1.4}]'
+        code, _, _ = run(capsys, "check", TOY, "--theorem", theorem, "--region", region)
+        assert code in (0, 1)
+        assert len(calls) == 2  # toy3 pins no y_s, so check synthesizes it
+
     def test_pinned_equilibrium_validated(self, capsys, tmp_path):
         def corrupt(raw):
             raw["equilibrium"]["u_star_volt"][0] += 5.0

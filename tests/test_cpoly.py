@@ -21,7 +21,6 @@ from dstab.cpoly import (
     cluster_roots,
     feedback,
     real_equiv,
-    reduce,
     residue_at,
     roots,
     rotate,
@@ -239,13 +238,6 @@ class TestRealEquiv:
         m = real_equiv(r)
         assert m.den.degree == 2  # lcm, not product
 
-    def test_entries_block_pattern(self):
-        m = real_equiv(CRational.from_coeffs([1.0 + 1j], [1.0, 1.0]))
-        e = m.entries
-        assert e[0][0] is m.re and e[1][1] is m.re
-        neg = e[0][1]
-        assert neg.num.coeffs == tuple(-c for c in m.im.num.coeffs)
-
     def test_evaluation_matches_split(self, rng):
         for _ in range(20):
             r = random_crational(rng, 3)
@@ -287,12 +279,7 @@ class TestRealEquiv:
 
 
 class TestReduce:
-    def test_cancels_common_factor(self):
-        num = CPoly.from_roots([-1.0, -2.0], lead=3.0)
-        den = CPoly.from_roots([-1.0, -3.0])
-        reduced = reduce(CRational(num, den))
-        assert reduced.num.degree == 1 and reduced.den.degree == 1
-        assert_rational_close(reduced, CRational(CPoly.from_roots([-2.0], 3.0), CPoly.from_roots([-3.0])))
+    """Pole-zero cancellation is never performed implicitly."""
 
     def test_never_implicit(self):
         num = CPoly.from_roots([-1.0])

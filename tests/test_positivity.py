@@ -1,4 +1,4 @@
-"""Positivity checks: exact scalar route, sampled matrix route, closed forms."""
+"""Positivity checks: exact scalar route, 2x2 real embedding, closed forms."""
 
 from __future__ import annotations
 
@@ -9,18 +9,15 @@ import numpy as np
 import pytest
 
 from conftest import random_crational, random_positive_rational, random_source_coeffs
-from dstab.cpoly import CPoly, CRational, feedback, real_equiv, rotate
+from dstab.cpoly import CPoly, CRational, real_equiv, rotate
 from dstab.devices import GenericSecondOrder, modified_source, rotated_source
 from dstab.errors import NonProperError
 from dstab.positivity import (
     FailedCondition,
-    check_positive_matrix_sampled,
     check_positive_second_order,
     check_positive_siso,
     check_pr_real_matrix,
     complex_routh_hurwitz_quadratic,
-    default_frequency_grid,
-    nyquist_disk_check,
     real_part_numerator,
 )
 from dstab.regions import sector, shifted_lhp
@@ -114,42 +111,6 @@ class TestLemmaEquivalence:
             assert check_positive_siso(h).is_positive
 
 
-class TestMatrixSampled:
-    def test_diagonal_integrators(self):
-        one = inv([0.0, 1.0])
-        rep = check_positive_matrix_sampled([[one, CRational.from_coeffs([0.0], [1.0])],
-                                             [CRational.from_coeffs([0.0], [1.0]), one]],
-                                            default_frequency_grid(400))
-        assert rep.is_positive
-
-    def test_asymmetric_coupling_fails(self):
-        h = inv([1.0, 1.0])
-        two = CRational.from_coeffs([2.0], [1.0])
-        zero = CRational.from_coeffs([0.0], [1.0])
-        rep = check_positive_matrix_sampled([[h, two], [zero, h]], default_frequency_grid(400))
-        assert not rep.is_positive
-        assert rep.failed_condition is FailedCondition.REAL_PART
-
-    def test_agrees_with_scalar_on_real_equiv(self, rng):
-        grid = np.concatenate((-default_frequency_grid(300)[::-1], default_frequency_grid(300)))
-        checked = 0
-        for _ in range(40):
-            h = random_positive_rational(rng) if rng.random() < 0.5 else random_crational(rng, 3)
-            m = real_equiv(h)
-            entries = [[m.entries[0][0], m.entries[0][1]], [m.entries[1][0], m.entries[1][1]]]
-            siso = check_positive_siso(h)
-            sampled = check_positive_matrix_sampled(entries, grid)
-            if abs(siso.margin) < 1e-6 or abs(sampled.margin) < 1e-6:
-                continue
-            checked += 1
-            assert siso.is_positive == sampled.is_positive
-        assert checked >= 15
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            check_positive_matrix_sampled([[inv([0.0, 1.0])]], [])
-
-
 class TestSecondOrder:
     def test_all_marginal_boundary_case(self):
         rep = check_positive_second_order(1.0, 1.0, 1.0, 1.0)
@@ -233,38 +194,6 @@ class TestPrRealMatrix:
         ])
         eigs = np.linalg.eigvalsh((K + K.conj().T) / 2)
         assert eigs == pytest.approx([0.0, 1.0], abs=1e-9)
-
-
-class TestNyquistDisk:
-    def test_first_order_circle_inside(self):
-        grid = np.logspace(-3, 4, 600)
-        assert nyquist_disk_check(inv([1.0, 1.0]), 1.0, grid)
-
-    def test_dc_gain_exits_disk(self):
-        grid = np.logspace(-3, 4, 600)
-        assert not nyquist_disk_check(CRational.from_coeffs([2.0], [1.0, 1.0]), 1.0, grid)
-
-    def test_pass_implies_feedback_positivity(self, rng):
-        grid = np.logspace(-3, 4, 800)
-        passed = 0
-        for _ in range(100):
-            order = int(rng.integers(1, 3))
-            if order == 1:
-                h = CRational.from_coeffs([rng.uniform(0.05, 2.0)], [rng.uniform(0.1, 3.0), 1.0])
-            else:
-                h = CRational.from_coeffs(
-                    [rng.uniform(0.05, 2.0), rng.uniform(0.0, 1.0)],
-                    [rng.uniform(0.5, 4.0), rng.uniform(0.5, 4.0), 1.0],
-                )
-            rho = rng.uniform(0.2, 3.0)
-            if nyquist_disk_check(h, rho, grid):
-                passed += 1
-                assert check_positive_siso(feedback(h, rho)).is_positive
-        assert passed >= 10
-
-    def test_requires_positive_rho(self):
-        with pytest.raises(ValueError):
-            nyquist_disk_check(inv([1.0, 1.0]), 0.0, [1.0])
 
 
 class TestMonotonicity:

@@ -13,7 +13,6 @@ from dstab.errors import InvalidRegionError
 from dstab.regions import (
     CompositeRegion,
     HalfPlaneRegion,
-    contains,
     family,
     horizontal_strip,
     map_to_nu,
@@ -93,17 +92,19 @@ class TestConstructors:
 
 class TestContains:
     def test_lhp_margin(self):
-        inside, margin = contains(shifted_lhp(-8.0), -10.0)
-        assert inside and margin == pytest.approx(2.0)
+        region = shifted_lhp(-8.0)
+        assert region.contains(-10.0)
+        assert region.margin(-10.0) == pytest.approx(2.0)
 
     def test_sector_margin_hand_value(self):
-        inside, margin = contains(sector(FIVE_PI_12), -1.0)
-        assert inside and margin == pytest.approx(math.cos(math.pi / 12))
+        region = sector(FIVE_PI_12)
+        assert region.contains(-1.0)
+        assert region.margin(-1.0) == pytest.approx(math.cos(math.pi / 12))
 
     def test_strip_excludes_high_frequency(self):
-        inside, margin = contains(horizontal_strip(24 * math.pi), complex(-1.0, 80.0))
-        assert not inside
-        assert margin == pytest.approx(24 * math.pi - 80.0)
+        region = horizontal_strip(24 * math.pi)
+        assert not region.contains(complex(-1.0, 80.0))
+        assert region.margin(complex(-1.0, 80.0)) == pytest.approx(24 * math.pi - 80.0)
 
     def test_composite_is_conjunction(self):
         comp = CompositeRegion((shifted_lhp(-8.0), sector(FIVE_PI_12), horizontal_strip(24 * math.pi)))

@@ -189,6 +189,15 @@ class TestSimulate:
         with pytest.warns(RuntimeWarning):
             simulate(toy_model, d, t_end=0.2, dt=1e-3)
 
+    @pytest.mark.parametrize("name", ["toy3", "ieee39_default", "ieee39_synthesized"])
+    def test_shipped_step_sizes_do_not_warn(self, name):
+        from dstab.scenario import build_model, data_path, load_scenario
+
+        sc = load_scenario(data_path(name))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            simulate(build_model(sc), sc.disturbance, t_end=sc.t_end, dt=sc.dt)
+
 
 class TestMetrics:
     def test_pure_exponential_settling(self):
