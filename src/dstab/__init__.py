@@ -31,9 +31,8 @@ from .devices import (
     coeffs_pv,
     cpl_tf,
     equilibrium_solve,
+    loop_transform,
     modified_cpl,
-    modified_source,
-    rotated_source,
     virtual_admittance,
 )
 from .dstability import (

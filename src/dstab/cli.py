@@ -5,7 +5,7 @@ machine-readable reports: identical inputs produce byte-identical output
 (fixed field order, floats rendered as %.12e).
 
 Exit codes: 0 success/certified, 1 not certified, 2 input error,
-3 numerical failure.
+3 numerical failure (and any unexpected error, reported as "internal").
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ from .dstability import certify_thm1, certify_thm2, loop_transformed, pole_margi
 from .errors import ConvergenceError, DstabError, RootFindingError, ScenarioError
 from .positivity import check_positive_siso
 from .regions import region_from_spec, region_to_spec, parts
-from .scenario import build_model, grid_codes, load_scenario, resolve_equilibrium, synthesize
+from .scenario import (
+    build_model, chosen_indices, compliance, grid_codes, load_scenario, resolve_equilibrium, synthesize,
+)
 from .sim import Trajectory, metrics, simulate
 
 
@@ -70,15 +72,15 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load(args) -> object:
-    sc = load_scenario(args.scenario)
-    if getattr(args, "region", None):
+    region = None
+    if args.region:
         import json as _json
 
         try:
-            sc.region = region_from_spec(_json.loads(args.region))
+            region = region_from_spec(_json.loads(args.region))
         except (_json.JSONDecodeError, ValueError) as exc:
             raise ScenarioError(f"bad --region override: {exc}") from exc
-    return sc
+    return load_scenario(args.scenario, region)
 
 
 def cmd_poles(args) -> int:
@@ -116,13 +118,15 @@ def cmd_check(args) -> int:
     sc = _load(args)
     eq = resolve_equilibrium(sc)
     model = build_model(sc, eq)
-    codes = grid_codes(sc, eq) if args.theorem == 2 else None
+    codes = grid_codes(sc, eq) if args.theorem == 2 or model.y_s is None else None
     # Source indices come from the scenario when pinned, otherwise from the
-    # synthesis bounds (each source tuned to its maximum admissible index).
+    # synthesis bounds (each source tuned to its maximum admissible index);
+    # the certifier then reuses the positivity each compliant source decided.
+    reports = None
     if model.y_s is None:
-        y_s = synthesize(sc, eq, codes)["y_s"]
-        model = dataclasses.replace(model, y_s=tuple(tuple(row) for row in y_s))
-    report = certify_thm1(model) if args.theorem == 1 else certify_thm2(model, codes)
+        reports = compliance(sc, eq, codes)
+        model = dataclasses.replace(model, y_s=chosen_indices(reports))
+    report = certify_thm1(model, reports) if args.theorem == 1 else certify_thm2(model, codes, reports)
     payload = {"scenario": sc.name, **report.as_dict()}
     _emit(dumps(payload), args.out)
     return 0 if report.certified else 1
@@ -235,6 +239,9 @@ def main(argv: list[str] | None = None) -> int:
     except DstabError as exc:
         sys.stderr.write(dumps({"error": "input", "message": str(exc)}) + "\n")
         return 2
+    except Exception as exc:
+        sys.stderr.write(dumps({"error": "internal", "message": f"{type(exc).__name__}: {exc}"}) + "\n")
+        return 3
 
 
 if __name__ == "__main__":

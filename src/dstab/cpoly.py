@@ -263,9 +263,6 @@ class CRational:
             raise PoleEvaluationError(f"evaluation at z = {z} is within tolerance of a pole")
         return self.num(z) / d
 
-    def poles(self) -> list[complex]:
-        return roots(self.den)
-
 
 def substitute_affine(r: CRational, a: complex, b: complex) -> CRational:
     """The rational function nu -> r(a*nu + b) (degree-preserving, a != 0)."""

@@ -238,21 +238,19 @@ def modified_cpl(p: CplParams, u_star: float, region: HalfPlaneRegion) -> CRatio
     return result
 
 
-def map_subsystem(tf: CRational, region: HalfPlaneRegion, phi: float) -> CRational:
-    """Map an s-domain subsystem into the nu-domain and rotate by e^{j phi}."""
+def map_subsystem(tf: CRational, region: HalfPlaneRegion) -> CRational:
+    """Map an s-domain subsystem into the nu-domain and rotate by e^{j theta0}."""
     a = cmath.exp(1j * region.theta0)
     b = cmath.exp(1j * region.theta0) * region.sigma0 + 1j * region.omega0
-    return rotate(substitute_affine(tf, a, b), phi)
+    return rotate(substitute_affine(tf, a, b), region.theta0)
 
 
-def rotated_source(g: GenericSecondOrder, region: HalfPlaneRegion) -> CRational:
-    """Region-mapped source with the canonical compensation angle theta0."""
-    return map_subsystem(g.tf, region, region.theta0)
-
-
-def modified_source(g_hat: CRational, y_s: float) -> CRational:
-    """Source with positivity index y_s absorbed: [1 - y_s g_hat]^{-1} g_hat."""
-    return feedback(g_hat, -float(y_s))
+def loop_transform(tf: CRational, region: HalfPlaneRegion, rho: complex) -> CRational:
+    """The subsystem mapped and rotated for ``region`` and closed through its
+    loop-transform gain: [1 + rho g_hat]^{-1} g_hat.  A source with index y_s
+    has rho = -y_s, a load its virtual admittance; rho = 0 leaves g_hat open."""
+    g_hat = map_subsystem(tf, region)
+    return feedback(g_hat, complex(rho)) if rho != 0 else g_hat
 
 
 def bound_lhp(g: GenericSecondOrder, alpha: float) -> tuple[bool, float]:
@@ -295,16 +293,6 @@ def bound_hs(g: GenericSecondOrder) -> float:
     ratio = g.c0 / g.c1
     radicand = ratio * ratio - ratio * g.d1 + g.d0
     return math.sqrt(radicand) if radicand > 0 else 0.0
-
-
-def rescale_droop(
-    p: EssBoostParams | EssBuckParams, factor: float, u_star: float, i_star: float
-) -> EssBoostParams | EssBuckParams:
-    """Scale the droop coefficient while keeping the operating point fixed:
-    the voltage reference moves to u* + R_d_new * i*."""
-    r_new = p.R_d * factor
-    kwargs = dict(C=p.C, E=p.E, U_r=u_star + r_new * i_star, R_d=r_new, kP_u=p.kP_u, kI_u=p.kI_u)
-    return type(p)(**kwargs)
 
 
 def _classify(devices: Sequence[DeviceParams], partition: NodePartition) -> None:
@@ -447,7 +435,7 @@ def check_compliance(
             y_s_cap=None,
             gamma_bar=gb,
             binding="none" if ok else "frequency_bound",
-            positivity=check_positive_siso(rotated_source(g, region)) if ok else None,
+            positivity=check_positive_siso(loop_transform(g.tf, region, 0.0)) if ok else None,
         )
 
     if kind == "lhp":
@@ -469,11 +457,11 @@ def check_compliance(
     if pick < floor - 1e-9:
         return ComplianceReport(False, kind, None, floor, cap, None, "network", None)
 
-    report = check_positive_siso(modified_source(rotated_source(g, region), pick))
+    report = check_positive_siso(loop_transform(g.tf, region, -pick))
     if not report.is_positive:
         backed = pick - max(1e-9, 1e-6 * abs(pick))
         if backed >= floor - 1e-9:
-            retry = check_positive_siso(modified_source(rotated_source(g, region), backed))
+            retry = check_positive_siso(loop_transform(g.tf, region, -backed))
             if retry.is_positive:
                 return ComplianceReport(True, kind, backed, floor, cap, None, "none", retry)
         return ComplianceReport(False, kind, None, floor, cap, None, "device", report)

@@ -12,14 +12,14 @@ certifiers falsifiable in tests.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .cpoly import CRational, feedback
-from .devices import map_subsystem, virtual_admittance_from_conductance
+from .cpoly import CRational
+from .devices import ComplianceReport, loop_transform, virtual_admittance_from_conductance
 from .errors import NonProperError
 from .network import AdmittanceMatrix, GridCode, check_rotated_psd, rotate_network
 from .positivity import PositivityReport, check_positive_siso
@@ -32,16 +32,16 @@ class SystemModel:
     through the admittance matrix.
 
     Each subsystem is rotated by the region angle theta0 of the part being
-    certified.  ``rho`` (loop-transform gains) defaults to the load virtual
-    admittances and minus the source positivity indices, derived from
-    ``load_cy`` (per-load (capacitance, conductance) pairs) and ``y_s``; an
-    explicit ``rho`` overrides the default for every part.
+    certified.  Its loop-transform gain rho is the load virtual admittance
+    derived from ``load_cy`` (per-load (capacitance, conductance) pairs) or
+    minus the source positivity index from ``y_s``; without them it is 0.
+    ``y_s`` has one row of source indices per region part, or one row that
+    every part shares.
     """
 
     subsystems: tuple[CRational, ...]
     network: AdmittanceMatrix
     region: Region
-    rho: tuple[complex, ...] | None = None
     load_cy: tuple[tuple[float, float], ...] | None = None
     y_s: tuple[tuple[float, ...], ...] | None = None
     equilibrium_u: tuple[float, ...] | None = None
@@ -56,27 +56,23 @@ class SystemModel:
                 raise NonProperError(f"subsystem {k} is not proper")
         if self.load_cy is not None and len(self.load_cy) != len(self.network.partition.load_ids):
             raise ValueError("load_cy must align with the load partition")
+        if self.y_s is not None:
+            if len(self.y_s) not in (1, self.n_parts):
+                raise ValueError(f"y_s needs 1 row or one per region part ({self.n_parts}), got {len(self.y_s)}")
+            n_s = len(self.network.partition.source_ids)
+            if any(len(row) != n_s for row in self.y_s):
+                raise ValueError(f"each y_s row must list {n_s} source indices")
 
     @property
     def n_parts(self) -> int:
         return len(parts(self.region))
 
     def y_s_for_part(self, part_index: int) -> tuple[float, ...]:
-        n_s = len(self.network.partition.source_ids)
         if self.y_s is None:
-            return (0.0,) * n_s
-        table = self.y_s
-        if len(table) == self.n_parts:
-            row = table[part_index]
-        else:
-            row = table[0]
-        if len(row) != n_s:
-            raise ValueError(f"expected {n_s} source indices, got {len(row)}")
-        return tuple(float(v) for v in row)
+            return (0.0,) * len(self.network.partition.source_ids)
+        return tuple(float(v) for v in self.y_s[part_index if len(self.y_s) > 1 else 0])
 
     def part_rho(self, part: HalfPlaneRegion, part_index: int) -> np.ndarray:
-        if self.rho is not None:
-            return np.asarray(self.rho, dtype=complex)
         rho = np.zeros(self.network.n_nodes, dtype=complex)
         y_s = self.y_s_for_part(part_index)
         for pos, k in enumerate(self.network.partition.source_ids):
@@ -202,23 +198,31 @@ def closed_loop_poles(m: SystemModel) -> list[complex]:
 def loop_transformed(m: SystemModel, part: HalfPlaneRegion, part_index: int) -> list[CRational]:
     """Every subsystem mapped into the nu-plane of ``part``, rotated by its
     angle theta0 and closed through its loop-transform gain rho."""
-    out = []
-    for g, rho in zip(m.subsystems, m.part_rho(part, part_index)):
-        g_hat = map_subsystem(g, part, part.theta0)
-        out.append(feedback(g_hat, complex(rho)) if rho != 0 else g_hat)
-    return out
+    return [loop_transform(g, part, rho) for g, rho in zip(m.subsystems, m.part_rho(part, part_index))]
 
 
 def _certify_part(
     m: SystemModel, part: HalfPlaneRegion, part_index: int, *, theorem: str,
-    grid_code: GridCode | None = None,
+    grid_code: GridCode | None, compliance: Sequence[ComplianceReport | None] | None,
 ) -> PartCertificate:
     notes: list[str] = []
-    device_reports = [check_positive_siso(g) for g in loop_transformed(m, part, part_index)]
+    y_s = m.y_s_for_part(part_index)
+    # A source whose compliance report against this part's grid code chose
+    # the index it carries here has decided positivity of the same function,
+    # built by the same loop_transform: reuse that report.
+    decided = {
+        k: rep.positivity
+        for k, rep, y in zip(m.network.partition.source_ids, compliance or (), y_s)
+        if rep is not None and rep.compliant and rep.y_s == y
+    }
+    rho = m.part_rho(part, part_index)
+    device_reports = [
+        decided[k] if k in decided else check_positive_siso(loop_transform(g, part, rho[k]))
+        for k, g in enumerate(m.subsystems)
+    ]
 
     if theorem == "thm2":
         assert grid_code is not None
-        y_s = m.y_s_for_part(part_index)
         network_ok = grid_code.ll_assumption_ok and (
             min(y_s) >= grid_code.bound - 1e-9 if y_s else True
         )
@@ -228,7 +232,7 @@ def _certify_part(
         elif y_s and min(y_s) < grid_code.bound - 1e-9:
             notes.append(f"source index {min(y_s):.6g} below the network floor {grid_code.bound:.6g}")
     else:
-        y_tilde = rotate_network(m.network, part.theta0) - np.diag(m.part_rho(part, part_index))
+        y_tilde = rotate_network(m.network, part.theta0) - np.diag(rho)
         network_ok, lam = check_rotated_psd(y_tilde)
         if not network_ok:
             notes.append(f"modified network has lambda_min = {lam:.6g} < 0")
@@ -244,37 +248,39 @@ def _certify_part(
     )
 
 
-def certify_thm1(m: SystemModel) -> CertificationReport:
-    """Decentralized certificate: rotated-network semidefiniteness plus local
-    positivity of every mapped, rotated, loop-transformed subsystem, verified
-    part by part for composite regions."""
+def _certify(
+    m: SystemModel, theorem: str, codes: list[GridCode] | None,
+    compliance: Sequence[Sequence[ComplianceReport | None]] | None,
+) -> CertificationReport:
     certs = [
-        _certify_part(m, part, idx, theorem="thm1")
+        _certify_part(m, part, idx, theorem=theorem, grid_code=codes[idx] if codes else None,
+                      compliance=compliance[idx] if compliance else None)
         for idx, part in enumerate(parts(m.region))
     ]
-    return CertificationReport("thm1", tuple(certs), all(c.certified for c in certs))
+    return CertificationReport(theorem, tuple(certs), all(c.certified for c in certs))
+
+
+def certify_thm1(
+    m: SystemModel, compliance: Sequence[Sequence[ComplianceReport | None]] | None = None,
+) -> CertificationReport:
+    """Decentralized certificate: rotated-network semidefiniteness plus local
+    positivity of every mapped, rotated, loop-transformed subsystem, verified
+    part by part for composite regions.  ``compliance`` (per part and source,
+    from :func:`dstab.scenario.compliance`) lends each compliant source's
+    positivity report to the part it was checked for."""
+    return _certify(m, "thm1", None, compliance)
 
 
 def certify_thm2(
-    m: SystemModel,
-    grid_codes: GridCode | list[GridCode],
-    y_s: list[list[float]] | list[float] | None = None,
+    m: SystemModel, grid_codes: list[GridCode],
+    compliance: Sequence[Sequence[ComplianceReport | None]] | None = None,
 ) -> CertificationReport:
     """Grid-code certificate: every source index above the broadcast floor
-    plus positivity of the modified sources and loads."""
-    region_parts = parts(m.region)
-    codes = grid_codes if isinstance(grid_codes, list) else [grid_codes]
-    if len(codes) != len(region_parts):
-        raise ValueError(f"expected {len(region_parts)} grid codes, got {len(codes)}")
-    model = m
-    if y_s is not None:
-        rows = y_s if y_s and isinstance(y_s[0], (list, tuple)) else [y_s] * len(region_parts)
-        model = dataclasses.replace(m, y_s=tuple(tuple(float(v) for v in row) for row in rows))
-    certs = [
-        _certify_part(model, part, idx, theorem="thm2", grid_code=codes[idx])
-        for idx, part in enumerate(region_parts)
-    ]
-    return CertificationReport("thm2", tuple(certs), all(c.certified for c in certs))
+    plus positivity of the modified sources and loads; ``compliance`` as in
+    :func:`certify_thm1`."""
+    if len(grid_codes) != m.n_parts:
+        raise ValueError(f"expected {m.n_parts} grid codes, got {len(grid_codes)}")
+    return _certify(m, "thm2", grid_codes, compliance)
 
 
 def verify_region(m: SystemModel) -> tuple[bool, float, list[complex]]:

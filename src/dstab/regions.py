@@ -29,16 +29,10 @@ _HALF_PI = math.pi / 2
 
 
 class _Membership:
-    """Closed-set membership and boundary classification from ``margin``."""
+    """Closed-set membership from ``margin``."""
 
     def contains(self, s: complex) -> bool:
         return self.margin(s) >= -BOUNDARY_TOL
-
-    def classify(self, s: complex) -> str:
-        m = self.margin(s)
-        if abs(m) < BOUNDARY_TOL:
-            return "boundary"
-        return "inside" if m > 0 else "outside"
 
 
 @dataclass(frozen=True)
@@ -55,6 +49,8 @@ class HalfPlaneRegion(_Membership):
     sigma0: float
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.theta0, self.omega0, self.sigma0)):
+            raise InvalidRegionError(f"region parameters must be finite, got {self}")
         if not (-1e-12 <= self.theta0 <= _HALF_PI + 1e-12):
             raise InvalidRegionError(f"theta0 must lie in [0, pi/2], got {self.theta0}")
         if self.omega0 < 0:
@@ -167,17 +163,23 @@ def _half_plane_from_spec(spec: dict) -> HalfPlaneRegion:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InvalidRegionError(f"region spec must be an object with a 'kind': {spec!r}")
     kind = spec["kind"]
-    try:
-        if kind == "lhp":
-            return shifted_lhp(float(spec["alpha"]))
-        if kind == "sector":
-            return sector(float(spec["beta"]))
-        if kind == "hstrip":
-            return horizontal_strip(float(spec["gamma"]))
-        if kind == "halfplane":
-            return HalfPlaneRegion(float(spec["theta0"]), float(spec["omega0"]), float(spec["sigma0"]))
-    except KeyError as exc:
-        raise InvalidRegionError(f"region spec {spec!r} is missing field {exc}") from exc
+
+    def num(key: str) -> float:
+        if key not in spec:
+            raise InvalidRegionError(f"region spec {spec!r} is missing field {key!r}")
+        value = spec[key]
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise InvalidRegionError(f"field {key!r} of region spec {spec!r} must be a number")
+        return float(value)
+
+    if kind == "lhp":
+        return shifted_lhp(num("alpha"))
+    if kind == "sector":
+        return sector(num("beta"))
+    if kind == "hstrip":
+        return horizontal_strip(num("gamma"))
+    if kind == "halfplane":
+        return HalfPlaneRegion(num("theta0"), num("omega0"), num("sigma0"))
     raise InvalidRegionError(f"unknown region kind {kind!r}")
 
 

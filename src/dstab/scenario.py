@@ -66,16 +66,27 @@ class Scenario:
 
 
 def _need(obj: dict, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{where} must be an object, got {obj!r}")
     if key not in obj:
         raise ScenarioError(f"missing field {key!r} in {where}")
     return obj[key]
 
 
-def _num(obj: dict, key: str, where: str) -> float:
-    value = _need(obj, key, where)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ScenarioError(f"field {key!r} in {where} must be a number, got {value!r}")
+def _finite(value, what: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+        raise ScenarioError(f"{what} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _num(obj: dict, key: str, where: str) -> float:
+    return _finite(_need(obj, key, where), f"field {key!r} in {where}")
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{what} must be a list, got {value!r}")
+    return value
 
 
 def _node_index(raw, n_nodes: int, where: str) -> int:
@@ -107,7 +118,7 @@ def _parse_device(block: dict, n_nodes: int) -> tuple[int, dev.DeviceParams]:
             params = dev.PvParams(
                 C=vals["C_farad"], kP_u=vals["kP_u"], kI_u=vals["kI_u"],
                 U_r_pv=vals["U_r_pv_volt"], i_pv_star=vals["i_pv_star_amp"],
-                g_pv_star=float(block.get("g_pv_star_siemens", -0.5)),
+                g_pv_star=_num(block, "g_pv_star_siemens", where) if "g_pv_star_siemens" in block else -0.5,
             )
         else:
             params = dev.CplParams(C_l=vals["C_l_farad"], P=vals["P_watt"])
@@ -116,7 +127,9 @@ def _parse_device(block: dict, n_nodes: int) -> tuple[int, dev.DeviceParams]:
     return node, params
 
 
-def load_scenario(path: str | Path) -> Scenario:
+def load_scenario(path: str | Path, region: Region | None = None) -> Scenario:
+    """Read and validate a scenario file; ``region`` replaces the file's
+    region (which is still validated)."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
@@ -127,22 +140,24 @@ def load_scenario(path: str | Path) -> Scenario:
 
     topo = _need(raw, "topology", "scenario")
     n_nodes = _need(topo, "nodes", "topology")
-    if not isinstance(n_nodes, int) or n_nodes < 1:
+    if not isinstance(n_nodes, int) or isinstance(n_nodes, bool) or n_nodes < 1:
         raise ScenarioError(f"topology.nodes must be a positive integer, got {n_nodes!r}")
 
     edges = []
-    for e in _need(topo, "edges", "topology"):
-        if not isinstance(e, (list, tuple)) or len(e) != 3:
+    for e in _list(_need(topo, "edges", "topology"), "topology.edges"):
+        if not isinstance(e, list) or len(e) != 3:
             raise ScenarioError(f"edge {e!r} must be [i, j, R_ohm]")
         i = _node_index(e[0], n_nodes, "edges")
         j = _node_index(e[1], n_nodes, "edges")
-        r = e[2]
-        if not isinstance(r, (int, float)) or r <= 0:
+        r = _finite(e[2], f"resistance of edge ({e[0]}, {e[1]})")
+        if r <= 0:
             raise ScenarioError(f"edge ({e[0]}, {e[1]}) needs a positive resistance, got {r!r}")
-        edges.append((i, j, float(r)))
+        edges.append((i, j, r))
 
-    sources = tuple(_node_index(k, n_nodes, "topology.sources") for k in _need(topo, "sources", "topology"))
-    loads = tuple(_node_index(k, n_nodes, "topology.loads") for k in _need(topo, "loads", "topology"))
+    sources, loads = (
+        tuple(_node_index(k, n_nodes, f"topology.{key}") for k in _list(_need(topo, key, "topology"), f"topology.{key}"))
+        for key in ("sources", "loads")
+    )
     partition = NodePartition(sources, loads)
     if not partition.covers(n_nodes):
         raise ScenarioError("topology.sources and topology.loads must cover every node exactly once")
@@ -164,18 +179,21 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ScenarioError(f"load node {k + 1} must carry a CPL device")
 
     try:
-        region = region_from_spec(_need(raw, "region", "scenario"))
+        file_region = region_from_spec(_need(raw, "region", "scenario"))
     except Exception as exc:
         raise ScenarioError(f"bad region spec: {exc}") from exc
+    region = region if region is not None else file_region
 
     pinned = None
     if "equilibrium" in raw and raw["equilibrium"] is not None:
         eq = raw["equilibrium"]
-        u = eq.get("u_star_volt")
-        i = eq.get("i_star_amp")
-        if not isinstance(u, list) or not isinstance(i, list) or len(u) != n_nodes or len(i) != n_nodes:
+        u, i = (_list(_need(eq, key, "equilibrium"), f"equilibrium.{key}") for key in ("u_star_volt", "i_star_amp"))
+        if len(u) != n_nodes or len(i) != n_nodes:
             raise ScenarioError("equilibrium needs u_star_volt and i_star_amp lists of length topology.nodes")
-        pinned = dev.Equilibrium(tuple(float(x) for x in u), tuple(float(x) for x in i))
+        pinned = dev.Equilibrium(
+            tuple(_finite(x, "equilibrium.u_star_volt entry") for x in u),
+            tuple(_finite(x, "equilibrium.i_star_amp entry") for x in i),
+        )
 
     y_s = None
     if "y_s" in raw and raw["y_s"] is not None:
@@ -184,9 +202,12 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ScenarioError("y_s must be a nonempty list")
         rows = table if isinstance(table[0], list) else [table]
         for row in rows:
-            if len(row) != len(sources):
+            if not isinstance(row, list) or len(row) != len(sources):
                 raise ScenarioError(f"each y_s row must list {len(sources)} source indices")
-        y_s = [[float(v) for v in row] for row in rows]
+        n_parts = len(parts(region))
+        if len(rows) not in (1, n_parts):
+            raise ScenarioError(f"y_s needs 1 row or one row per region part ({n_parts}), got {len(rows)}")
+        y_s = [[_finite(v, "y_s entry") for v in row] for row in rows]
 
     disturbance = None
     if "disturbance" in raw and raw["disturbance"] is not None:
@@ -302,39 +323,47 @@ def grid_codes(sc: Scenario, eq: dev.Equilibrium | None = None) -> list[GridCode
     return [grid_code(sc.network, part, pairs) for part in parts(sc.region)]
 
 
+def compliance(
+    sc: Scenario, eq: dev.Equilibrium, codes: list[GridCode],
+) -> list[list[dev.ComplianceReport | None]]:
+    """Each source checked against each part's grid code from its own model
+    at its own operating voltage; None where the code's damping assumption
+    fails."""
+    coeffs = source_coefficients(sc, eq)
+    return [[dev.check_compliance(g, code) if code.ll_assumption_ok else None for g in coeffs] for code in codes]
+
+
+def chosen_indices(reports: list[list[dev.ComplianceReport | None]]) -> tuple[tuple[float, ...], ...]:
+    """The y_s table of a :func:`compliance` result: the chosen index per part
+    and source.  Non-compliant devices report index 0; certification then
+    fails on the network or device condition instead of propagating NaN."""
+    return tuple(tuple(r.y_s if r is not None and r.compliant else 0.0 for r in row) for row in reports)
+
+
 def synthesize(
     sc: Scenario, eq: dev.Equilibrium | None = None, codes: list[GridCode] | None = None,
 ) -> dict:
     """Per-part, per-source synthesis: grid codes, bounds, compliance and the
-    chosen maximal indices.  Used by the synthesize command and as the y_s
-    default for grid-code certification.  ``eq`` and ``codes`` (the grid codes
-    at ``eq``) are resolved here when not given."""
+    chosen maximal indices, as the synthesize command reports them.  ``eq``
+    and ``codes`` (the grid codes at ``eq``) are resolved here when not
+    given."""
     eq = eq or resolve_equilibrium(sc)
     codes = codes or grid_codes(sc, eq)
-    coeffs = source_coefficients(sc, eq)
+    reports = compliance(sc, eq, codes)
     part_entries = []
-    y_s_rows: list[list[float]] = []
-    for code in codes:
+    for row in reports:
         entries = []
-        row = []
-        for pos, k in enumerate(sc.partition.source_ids):
-            # Non-compliant devices report index 0; certification then fails
-            # on the network or device condition instead of propagating NaN.
-            if not code.ll_assumption_ok:
+        for k, report in zip(sc.partition.source_ids, row):
+            if report is None:
                 entries.append({"node": k + 1, "compliant": False, "binding": "ll_assumption"})
-                row.append(0.0)
                 continue
-            report = dev.check_compliance(coeffs[pos], code)
-            entry = {"node": k + 1}
-            entry.update(report.as_dict())
-            entry.pop("positivity", None)
+            entry = {"node": k + 1, **report.as_dict()}
+            del entry["positivity"]
             entries.append(entry)
-            row.append(report.y_s if report.y_s is not None else 0.0)
         part_entries.append(entries)
-        y_s_rows.append(row)
     return {
         "grid_codes": [c.as_dict() for c in codes],
         "parts": part_entries,
-        "y_s": y_s_rows,
-        "all_compliant": all(e.get("compliant", False) for part in part_entries for e in part),
+        "y_s": chosen_indices(reports),
+        "all_compliant": all(e["compliant"] for part in part_entries for e in part),
     }

@@ -8,6 +8,7 @@ here, not calibrated elsewhere.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 import time
 import warnings
@@ -114,12 +115,9 @@ def _draw_system(rng: np.random.Generator):
     flavor = rng.random()
     if flavor < 0.12 and part.load_ids:
         y_row = [0.0] * len(part.source_ids)  # loads left unneutralized
-        rho = tuple(0.0 for _ in range(n))
+        load_cy = []
     elif flavor < 0.2:
         y_row = [y * 1.5 + 0.2 for y in y_row]  # indices above the caps
-        rho = None
-    else:
-        rho = None
 
     subsystems: list[CRational | None] = [None] * n
     for pos, k in enumerate(part.source_ids):
@@ -129,7 +127,7 @@ def _draw_system(rng: np.random.Generator):
         subsystems[k] = dev.cpl_tf(cpl, u_star)
     return SystemModel(
         tuple(subsystems), Y, region,
-        rho=rho, load_cy=tuple(load_cy) or None, y_s=(tuple(y_row),),
+        load_cy=tuple(load_cy) or None, y_s=(tuple(y_row),),
     )
 
 
@@ -324,8 +322,8 @@ def test_criterion_6_bound_tightness(rng):
                 if gb < 1e-3:
                     continue
                 eps = 1e-3 * gb
-                lo = check_positive_siso(dev.rotated_source(g, horizontal_strip(gb + eps)))
-                hi = check_positive_siso(dev.rotated_source(g, horizontal_strip(gb - eps)))
+                lo = check_positive_siso(dev.map_subsystem(g.tf, horizontal_strip(gb + eps)))
+                hi = check_positive_siso(dev.map_subsystem(g.tf, horizontal_strip(gb - eps)))
                 good = lo.is_positive and not hi.is_positive
             else:
                 if fam == "lhp":
@@ -337,9 +335,8 @@ def test_criterion_6_bound_tightness(rng):
                 if not feasible or not math.isfinite(cap):
                     continue
                 eps = 1e-3 * abs(cap) + 1e-6
-                g_hat = dev.rotated_source(g, region)
-                below = check_positive_siso(dev.modified_source(g_hat, cap - eps))
-                above = check_positive_siso(dev.modified_source(g_hat, cap + eps))
+                below = check_positive_siso(dev.loop_transform(g.tf, region, -(cap - eps)))
+                above = check_positive_siso(dev.loop_transform(g.tf, region, -(cap + eps)))
                 good = below.is_positive and not above.is_positive
             flips += 1
             if not good:
@@ -372,7 +369,7 @@ def test_criterion_7_case_study():
 
     codes = grid_codes(sc_tuned)
     syn = synthesize(sc_tuned)
-    report = certify_thm2(model_tuned, codes, syn["y_s"])
+    report = certify_thm2(dataclasses.replace(model_tuned, y_s=syn["y_s"]), codes)
     clause_b_cert = report.certified
     part_status = [(p.region.theta0, p.certified) for p in report.parts]
 
@@ -425,12 +422,11 @@ def test_criterion_8_monotonicity(rng):
         if not feasible or not math.isfinite(cap):
             continue
         y1 = cap - 1e-3 * max(1.0, abs(cap))
-        g_hat = dev.rotated_source(g, region)
-        if not check_positive_siso(dev.modified_source(g_hat, y1)).is_positive:
+        if not check_positive_siso(dev.loop_transform(g.tf, region, -y1)).is_positive:
             continue
         checked += 1
         for y2 in np.linspace(y1 - 2 * abs(y1) - 1.0, y1, 10):
-            if not check_positive_siso(dev.modified_source(g_hat, float(y2))).is_positive:
+            if not check_positive_siso(dev.loop_transform(g.tf, region, -float(y2))).is_positive:
                 violations += 1
                 break
     passed = checked >= 100 and violations == 0

@@ -13,6 +13,7 @@ from dstab.cli import dumps, main
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "dstab" / "data"
 TOY = str(DATA / "toy3.json")
+THREE_PARTS = '[{"kind":"lhp","alpha":-2},{"kind":"sector","beta":1.4},{"kind":"hstrip","gamma":300}]'
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -165,6 +166,47 @@ class TestCheck:
         assert code in (0, 1)
         assert len(calls) == 2  # toy3 pins no y_s, so check synthesizes it
 
+    @pytest.mark.parametrize("theorem", ["1", "2"])
+    @pytest.mark.parametrize("name, expected", [("toy3", 3), ("ieee39_default", 117), ("ieee39_synthesized", 117)])
+    def test_one_positivity_check_per_node_and_part(self, capsys, monkeypatch, theorem, name, expected):
+        # Without pinned y_s, check synthesizes the indices; the certifier
+        # reuses each compliant source's check, so every node and part is
+        # checked once (39 nodes x 3 parts on the ieee39 grids).
+        import dstab.devices as dev
+        import dstab.dstability as dst
+
+        calls = []
+        check = dst.check_positive_siso
+        for module in (dev, dst):
+            monkeypatch.setattr(module, "check_positive_siso", lambda *a, **k: calls.append(1) or check(*a, **k))
+        code, _, _ = run(capsys, "check", str(DATA / f"{name}.json"), "--theorem", theorem)
+        assert code in (0, 1)
+        assert len(calls) == expected
+
+    @pytest.mark.parametrize("name, source", [("toy3", 0), ("toy3", 1), ("ieee39_synthesized", 0)])
+    def test_source_results_need_no_other_source_model(self, capsys, tmp_path, name, source):
+        # The grid code is broadcast: with the operating point pinned, a
+        # source's synthesis entry and certificate report depend on its own
+        # model only, whatever the other sources' gains and capacitances.
+        raw = json.loads((DATA / f"{name}.json").read_text())
+        assert raw["equilibrium"] is not None
+        node = raw["topology"]["sources"][source]
+
+        def results(path):
+            _, syn, _ = run(capsys, "synthesize", str(path))
+            _, cert, _ = run(capsys, "check", str(path), "--theorem", "2")
+            return ([dumps(part[source]) for part in json.loads(syn)["parts"]],
+                    [dumps(part["devices"][node - 1]) for part in json.loads(cert)["parts"]])
+
+        for block in raw["devices"]:
+            if block["node"] in raw["topology"]["sources"] and block["node"] != node:
+                block["C_farad"] *= 1.5
+                block["kP_u"] = 1.3 * block["kP_u"] + 0.05
+                block["kI_u"] *= 0.7
+        perturbed = tmp_path / "perturbed.json"
+        perturbed.write_text(json.dumps(raw))
+        assert results(perturbed) == results(DATA / f"{name}.json")
+
     def test_pinned_equilibrium_validated(self, capsys, tmp_path):
         def corrupt(raw):
             raw["equilibrium"]["u_star_volt"][0] += 5.0
@@ -173,6 +215,52 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(path))
         assert code == 2
         assert "equilibrium" in err
+
+
+class TestInputContract:
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda raw: raw["topology"].update(edges=5),
+            lambda raw: raw.update(y_s=[[0.2143, "0.2679"]]),
+            lambda raw: raw["equilibrium"].update(u_star_volt=[str(u) for u in raw["equilibrium"]["u_star_volt"]]),
+            lambda raw: raw["topology"]["edges"][0].__setitem__(2, math.nan),
+            lambda raw: raw.update(region={"kind": "lhp", "alpha": math.nan}),
+            lambda raw: raw["devices"][0].update(C_farad=math.nan),
+        ],
+        ids=["edges-not-a-list", "y_s-string", "u_star-string", "resistance-nan", "alpha-nan", "C-nan"],
+    )
+    @pytest.mark.parametrize("command", [["check", "--theorem", "1"], ["check", "--theorem", "2"],
+                                         ["poles"], ["simulate"]], ids=["check1", "check2", "poles", "simulate"])
+    def test_malformed_number_exits_2(self, capsys, tmp_path, mutate, command):
+        path = toy_variant(tmp_path, mutate)
+        code, _, err = run(capsys, *command, str(path))
+        assert code == 2
+        assert '"error":"input"' in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("region", [[], ["--region", THREE_PARTS]], ids=["one-part", "three-parts"])
+    def test_y_s_needs_one_row_or_one_per_part(self, capsys, tmp_path, region):
+        path = toy_variant(tmp_path, lambda raw: raw.update(y_s=[[0.2143, 0.2679], [99, 99]]))
+        code, _, err = run(capsys, "check", str(path), *region)
+        assert code == 2
+        assert "y_s" in err
+
+    def test_one_y_s_row_serves_every_part(self, capsys, tmp_path):
+        path = toy_variant(tmp_path, lambda raw: raw.update(y_s=[[0.2143, 0.2679]]))
+        code, out, _ = run(capsys, "check", str(path), "--theorem", "1", "--region", THREE_PARTS)
+        assert code in (0, 1)
+        assert len(json.loads(out)["parts"]) == 3
+
+    def test_unexpected_error_exits_3(self, capsys, monkeypatch):
+        import dstab.cli as cli
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "build_model", broken)
+        code, out, err = run(capsys, "poles", TOY)
+        assert code == 3 and out == ""
+        assert json.loads(err) == {"error": "internal", "message": "RuntimeError: boom"}
 
 
 class TestSynthesize:

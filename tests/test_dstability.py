@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from conftest import (
     random_source_coeffs,
 )
 from dstab import devices as dev
+from dstab.cli import dumps
 from dstab.cpoly import CRational, roots, substitute_affine
 from dstab.dstability import (
     SystemModel,
@@ -33,6 +35,9 @@ from dstab.regions import (
     map_to_nu,
     sector,
     shifted_lhp,
+)
+from dstab.scenario import (
+    build_model, chosen_indices, compliance, data_path, grid_codes, load_scenario, resolve_equilibrium,
 )
 
 
@@ -125,8 +130,7 @@ class TestCertifyDecentralized:
 
     def test_unmodified_cpl_blocks_certification(self, star_system):
         Y, buck, cpl, u_star, subsystems, load_cy = star_system
-        m = SystemModel(subsystems, Y, shifted_lhp(0.0),
-                        rho=(0.0, 0.0, 0.0))  # no loop transform at all
+        m = SystemModel(subsystems, Y, shifted_lhp(0.0))  # no loop transform at all
         report = certify_thm1(m)
         assert not report.certified
         # the load node carries the failing report
@@ -168,7 +172,7 @@ class TestCertifyGridCode:
         gc = grid_code(Y, region, [load_cy[0]])
         comp = dev.check_compliance(buck, gc)
         m = SystemModel(subsystems, Y, region, load_cy=load_cy)
-        report = certify_thm2(m, [gc], [comp.y_s, comp.y_s])
+        report = certify_thm2(dataclasses.replace(m, y_s=((comp.y_s, comp.y_s),)), [gc])
         assert report.certified
 
     def test_index_below_floor_fails_network(self, star_system):
@@ -176,7 +180,7 @@ class TestCertifyGridCode:
         region = shifted_lhp(-2.0)
         gc = grid_code(Y, region, [load_cy[0]])
         m = SystemModel(subsystems, Y, region, load_cy=load_cy)
-        report = certify_thm2(m, [gc], [gc.bound - 0.01, gc.bound + 0.01])
+        report = certify_thm2(dataclasses.replace(m, y_s=((gc.bound - 0.01, gc.bound + 0.01),)), [gc])
         assert not report.certified
         assert not report.parts[0].network_ok
 
@@ -185,7 +189,7 @@ class TestCertifyGridCode:
         region = HalfPlaneRegion(math.pi / 2, 200.0, 0.0)
         gc = grid_code(Y, region, [load_cy[0]])
         m = SystemModel(subsystems, Y, region, load_cy=load_cy)
-        report = certify_thm2(m, [gc], [0.0, 0.0])
+        report = certify_thm2(dataclasses.replace(m, y_s=((0.0, 0.0),)), [gc])
         assert report.parts[0].network_ok
 
     def test_thm2_implies_thm1(self, star_system):
@@ -199,6 +203,30 @@ class TestCertifyGridCode:
             rep2 = certify_thm2(m, [gc])
             rep1 = certify_thm1(m)
             assert not rep2.certified or rep1.certified
+
+
+class TestComplianceReuse:
+    @pytest.mark.parametrize("name, n_compliant", [("toy3", 2), ("ieee39_default", 20), ("ieee39_synthesized", 72)])
+    def test_reused_reports_equal_fresh_checks(self, name, n_compliant):
+        # The certifiers reuse a compliant source's positivity report only
+        # because check_compliance and the certifier build the same function
+        # by the same route: the reports must agree to the bit.
+        sc = load_scenario(data_path(name))
+        eq = resolve_equilibrium(sc)
+        codes = grid_codes(sc, eq)
+        reports = compliance(sc, eq, codes)
+        m = dataclasses.replace(build_model(sc, eq), y_s=chosen_indices(reports))
+        fresh = certify_thm1(m)
+        compared = 0
+        for part, row in zip(fresh.parts, reports):
+            for k, rep in zip(sc.partition.source_ids, row):
+                if rep is not None and rep.compliant:
+                    assert dumps(rep.positivity.as_dict()) == dumps(part.device_reports[k].as_dict())
+                    assert rep.positivity.margin.hex() == part.device_reports[k].margin.hex()
+                    compared += 1
+        assert compared == n_compliant
+        assert dumps(certify_thm1(m, reports).as_dict()) == dumps(fresh.as_dict())
+        assert dumps(certify_thm2(m, codes, reports).as_dict()) == dumps(certify_thm2(m, codes).as_dict())
 
 
 class TestVerifyRegion:

@@ -181,12 +181,8 @@ class TestSpecs:
         assert family(HalfPlaneRegion(0.4, 1.0, -1.0)) == "generic"
 
     def test_bad_specs(self):
-        for spec in ({"kind": "disk", "r": 1.0}, {"alpha": -1.0}, {"kind": "lhp"}, "lhp"):
+        for spec in ({"kind": "disk", "r": 1.0}, {"alpha": -1.0}, {"kind": "lhp"}, "lhp",
+                     {"kind": "lhp", "alpha": float("nan")}, {"kind": "lhp", "alpha": "-8"},
+                     {"kind": "hstrip", "gamma": float("inf")}, {"kind": "sector", "beta": True}):
             with pytest.raises(InvalidRegionError):
                 region_from_spec(spec)
-
-    def test_boundary_classification(self):
-        r = shifted_lhp(-1.0)
-        assert r.classify(-1.0) == "boundary"
-        assert r.classify(-1.5) == "inside"
-        assert r.classify(0.0) == "outside"

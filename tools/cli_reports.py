@@ -4,15 +4,20 @@
 For each of ``toy3``, ``ieee39_default`` and ``ieee39_synthesized`` the tool
 runs ``poles``, ``gridcode``, ``check --theorem 1``, ``check --theorem 2``,
 ``synthesize``, ``positivity`` and ``simulate --out`` through
-``python -m dstab.cli`` of the checkout it lives in, and writes
+``python -m dstab.cli`` of the checkout it lives in.  It then runs every
+command but ``simulate`` on variants that reach paths the shipped scenarios
+miss (see ``VARIANTS``): ``toy3`` with its synthesized ``y_s`` pinned, a
+three-part ``--region``, a region that fails the network damping assumption
+and ``ieee39_default`` under a single sector.  It writes
 
 * ``<scenario>.<command>.out`` -- the command's stdout,
 * ``<scenario>.csv`` and ``<scenario>.metrics.json`` -- ``simulate --out``,
-* ``exit_codes.txt`` -- one ``<scenario> <command> <exit code>`` line per run.
+* ``exit_codes.txt`` -- one ``<scenario> <command> <exit code>`` line per run,
 
-Child stderr (warnings, error objects) is passed through to this tool's
-stderr and not written to the directory.  Two checkouts produce the same
-reports iff ``diff -r`` of their output directories is empty:
+where ``<scenario>`` is a shipped name or a variant label.  Child stderr
+(warnings, error objects) is passed through to this tool's stderr and not
+written to the directory.  Two checkouts produce the same reports iff
+``diff -r`` of their output directories is empty:
 
     python3 tools/cli_reports.py OUTDIR
 """
@@ -20,9 +25,11 @@ reports iff ``diff -r`` of their output directories is empty:
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,6 +46,16 @@ COMMANDS = (
     ("positivity", ["positivity"]),
     ("simulate", ["simulate"]),
 )
+# label -> (shipped scenario, extra arguments); the label "toy3-pinned-ys"
+# runs on a copy of toy3 whose y_s is the table toy3's synthesize prints.
+VARIANTS = {
+    "toy3-pinned-ys": ("toy3", []),
+    "toy3-three-parts": ("toy3", ["--region", json.dumps([
+        {"kind": "lhp", "alpha": -2.0}, {"kind": "sector", "beta": 1.4}, {"kind": "hstrip", "gamma": 300.0},
+    ])]),
+    "toy3-failed-damping": ("toy3", ["--region", '{"kind":"lhp","alpha":-20000}']),
+    "ieee39_default-sector": ("ieee39_default", ["--region", '{"kind":"sector","beta":1.308996938996}']),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -47,18 +64,32 @@ def main(argv: list[str] | None = None) -> int:
     outdir = parser.parse_args(argv).outdir
     outdir.mkdir(parents=True, exist_ok=True)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
-
     codes = []
+
+    def run(name: str, label: str, args: list[str], scenario: Path, extra: list[str]) -> None:
+        argv_cli = [sys.executable, "-m", "dstab.cli", *args, str(scenario), *extra]
+        proc = subprocess.run(argv_cli, env=env, capture_output=True)
+        (outdir / f"{name}.{label}.out").write_bytes(proc.stdout)
+        if proc.stderr:
+            sys.stderr.write(f"[{name} {label}] " + proc.stderr.decode(errors="replace"))
+        codes.append(f"{name} {label} {proc.returncode}\n")
+
     for name in SCENARIOS:
         for label, args in COMMANDS:
-            argv_cli = [sys.executable, "-m", "dstab.cli", *args, str(DATA / f"{name}.json")]
-            if label == "simulate":
-                argv_cli += ["--out", str(outdir / name)]
-            proc = subprocess.run(argv_cli, env=env, capture_output=True)
-            (outdir / f"{name}.{label}.out").write_bytes(proc.stdout)
-            if proc.stderr:
-                sys.stderr.write(f"[{name} {label}] " + proc.stderr.decode(errors="replace"))
-            codes.append(f"{name} {label} {proc.returncode}\n")
+            extra = ["--out", str(outdir / name)] if label == "simulate" else []
+            run(name, label, args, DATA / f"{name}.json", extra)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        pinned = json.loads((DATA / "toy3.json").read_text())
+        pinned["y_s"] = json.loads((outdir / "toy3.synthesize.out").read_bytes())["y_s"]
+        pinned_path = Path(tmp) / "toy3-pinned-ys.json"
+        pinned_path.write_text(json.dumps(pinned))
+        for variant, (name, extra) in VARIANTS.items():
+            scenario = pinned_path if variant == "toy3-pinned-ys" else DATA / f"{name}.json"
+            for label, args in COMMANDS:
+                if label != "simulate":
+                    run(variant, label, args, scenario, extra)
+
     (outdir / "exit_codes.txt").write_text("".join(codes))
     sys.stdout.write("".join(codes))
     return 0
