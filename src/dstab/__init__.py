@@ -51,7 +51,7 @@ from .network import (
     build_admittance,
     check_rotated_psd,
     grid_code,
-    rotate_network,
+    network_matrix,
     schur_xi,
 )
 from .positivity import (

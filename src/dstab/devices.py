@@ -245,7 +245,7 @@ def map_subsystem(tf: CRational, region: HalfPlaneRegion) -> CRational:
     return rotate(substitute_affine(tf, a, b), region.theta0)
 
 
-def loop_transform(tf: CRational, region: HalfPlaneRegion, rho: complex) -> CRational:
+def loop_transform(tf: CRational, region: HalfPlaneRegion, rho: float) -> CRational:
     """The subsystem mapped and rotated for ``region`` and closed through its
     loop-transform gain: [1 + rho g_hat]^{-1} g_hat.  A source with index y_s
     has rho = -y_s, a load its virtual admittance; rho = 0 leaves g_hat open."""
@@ -426,7 +426,7 @@ def check_compliance(
 
     if kind == "hstrip":
         gb = bound_hs(g)
-        ok = region.omega0 > gb and floor <= 1e-9
+        ok = region.omega0 > gb and grid_code.admits(0.0)
         return ComplianceReport(
             compliant=ok,
             region_kind=kind,
@@ -454,13 +454,13 @@ def check_compliance(
     if not math.isfinite(cap) and cap < 0:
         return ComplianceReport(False, kind, None, floor, cap, None, "device", None)
     pick = cap - 1e-9 * max(1.0, abs(cap)) if strict_cap else cap
-    if pick < floor - 1e-9:
+    if not grid_code.admits(pick):
         return ComplianceReport(False, kind, None, floor, cap, None, "network", None)
 
     report = check_positive_siso(loop_transform(g.tf, region, -pick))
     if not report.is_positive:
         backed = pick - max(1e-9, 1e-6 * abs(pick))
-        if backed >= floor - 1e-9:
+        if grid_code.admits(backed):
             retry = check_positive_siso(loop_transform(g.tf, region, -backed))
             if retry.is_positive:
                 return ComplianceReport(True, kind, backed, floor, cap, None, "none", retry)

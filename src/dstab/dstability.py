@@ -21,7 +21,7 @@ import numpy as np
 from .cpoly import CRational
 from .devices import ComplianceReport, loop_transform, virtual_admittance_from_conductance
 from .errors import NonProperError
-from .network import AdmittanceMatrix, GridCode, check_rotated_psd, rotate_network
+from .network import AdmittanceMatrix, GridCode, check_rotated_psd, network_matrix
 from .positivity import PositivityReport, check_positive_siso
 from .regions import HalfPlaneRegion, Region, parts
 
@@ -73,7 +73,7 @@ class SystemModel:
         return tuple(float(v) for v in self.y_s[part_index if len(self.y_s) > 1 else 0])
 
     def part_rho(self, part: HalfPlaneRegion, part_index: int) -> np.ndarray:
-        rho = np.zeros(self.network.n_nodes, dtype=complex)
+        rho = np.zeros(self.network.n_nodes)
         y_s = self.y_s_for_part(part_index)
         for pos, k in enumerate(self.network.partition.source_ids):
             rho[k] = -y_s[pos]
@@ -223,17 +223,14 @@ def _certify_part(
 
     if theorem == "thm2":
         assert grid_code is not None
-        network_ok = grid_code.ll_assumption_ok and (
-            min(y_s) >= grid_code.bound - 1e-9 if y_s else True
-        )
+        network_ok = grid_code.ll_assumption_ok and all(grid_code.admits(y) for y in y_s)
         lam = grid_code.lambda_min_xi
         if not grid_code.ll_assumption_ok:
             notes.append("network damping assumption violated: relax the target region or shed loads")
-        elif y_s and min(y_s) < grid_code.bound - 1e-9:
+        elif not network_ok:
             notes.append(f"source index {min(y_s):.6g} below the network floor {grid_code.bound:.6g}")
     else:
-        y_tilde = rotate_network(m.network, part.theta0) - np.diag(rho)
-        network_ok, lam = check_rotated_psd(y_tilde)
+        network_ok, lam = check_rotated_psd(network_matrix(m.network, part.theta0, rho))
         if not network_ok:
             notes.append(f"modified network has lambda_min = {lam:.6g} < 0")
 

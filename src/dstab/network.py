@@ -1,10 +1,13 @@
 """Resistive-network admittance matrices and the broadcastable grid code.
 
-The network is a weighted Laplacian built from line resistances.  The grid
-code computation rotates the network by the region angle, absorbs the load
-virtual admittances, and reduces the resulting semidefiniteness condition to
-the minimum eigenvalue of a Schur complement on the source block; the
-broadcast value lower-bounds every source's positivity index.
+The network is a weighted Laplacian built from line resistances.  Every
+region part rotates the whole network by one angle theta0 and every
+loop-transform gain is real, so each network condition is a question about
+one real symmetric matrix, cos(theta0) Y - diag(rho) (`network_matrix`).
+Theorem 1 asks whether it is positive semidefinite.  The grid code puts the
+load virtual admittances into rho and reduces the condition to the minimum
+eigenvalue of a Schur complement on the source block; the broadcast value
+lower-bounds every source's positivity index.
 """
 
 from __future__ import annotations
@@ -75,25 +78,6 @@ class AdmittanceMatrix:
     def n_nodes(self) -> int:
         return self.Y.shape[0]
 
-    def _block(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> np.ndarray:
-        return self.Y[np.ix_(rows, cols)]
-
-    @property
-    def Yss(self) -> np.ndarray:
-        return self._block(self.partition.source_ids, self.partition.source_ids)
-
-    @property
-    def Ysl(self) -> np.ndarray:
-        return self._block(self.partition.source_ids, self.partition.load_ids)
-
-    @property
-    def Yls(self) -> np.ndarray:
-        return self._block(self.partition.load_ids, self.partition.source_ids)
-
-    @property
-    def Yll(self) -> np.ndarray:
-        return self._block(self.partition.load_ids, self.partition.load_ids)
-
 
 @dataclass(frozen=True)
 class GridCode:
@@ -113,6 +97,10 @@ class GridCode:
     def bound(self) -> float:
         """Lower bound on the source positivity indices."""
         return -self.lambda_min_xi
+
+    def admits(self, y: float) -> bool:
+        """Whether a source index ``y`` reaches the floor, within 1e-9."""
+        return y >= self.bound - 1e-9
 
     def as_dict(self) -> dict:
         from .regions import region_to_spec
@@ -163,46 +151,44 @@ def build_admittance(
     return AdmittanceMatrix(Y, partition)
 
 
-def rotate_network(Y: AdmittanceMatrix | np.ndarray, phi: float | np.ndarray) -> np.ndarray:
-    """Rotated network matrix diag(e^{-j phi_k}) Y."""
-    mat = Y.Y if isinstance(Y, AdmittanceMatrix) else np.asarray(Y)
-    n = mat.shape[0]
-    phi_arr = np.broadcast_to(np.asarray(phi, dtype=float), (n,))
-    return np.exp(-1j * phi_arr)[:, None] * mat.astype(complex)
+def network_matrix(Y: AdmittanceMatrix, theta0: float, d: np.ndarray) -> np.ndarray:
+    """Real symmetric cos(theta0) Y - diag(d): half the Hermitian part of the
+    network rotated by theta0 and loop-transformed through the real gains d."""
+    return math.cos(theta0) * Y.Y - np.diag(d)
 
 
-def check_rotated_psd(Y_hat: np.ndarray) -> tuple[bool, float]:
-    """Whether Y_hat + Y_hat^H is positive semidefinite; returns lambda_min."""
-    Y_hat = np.asarray(Y_hat, dtype=complex)
-    if Y_hat.shape[0] != Y_hat.shape[1]:
-        raise NetworkError("rotated network matrix must be square")
-    s = Y_hat + Y_hat.conj().T
-    eigs = np.linalg.eigvalsh(s)
+def check_rotated_psd(m: np.ndarray) -> tuple[bool, float]:
+    """Whether a :func:`network_matrix` is positive semidefinite; returns
+    lambda_min of 2m, the rotated matrix plus its conjugate transpose."""
+    eigs = 2.0 * np.linalg.eigvalsh(m)
     lam_min = float(eigs[0])
     scale = max(1.0, float(np.max(np.abs(eigs))))
     return lam_min >= -1e-9 * scale, lam_min
 
 
 def schur_xi(Y: AdmittanceMatrix, theta0: float, y_virtual: list[float] | np.ndarray) -> np.ndarray:
-    """Schur complement of the rotated, loop-transformed network condition.
+    """Schur complement on the source block of the :func:`network_matrix`
+    whose gains are the virtual admittances on the loads and 0 on the sources.
 
-    Requires Y^ll cos(theta0) - diag(y_virtual) to be positive definite
-    (raises :class:`LLAssumptionError` otherwise -- the network's damping
-    capacity is exhausted and no source-side index can restore it).
+    Requires its load block Y^ll cos(theta0) - diag(y_virtual) to be positive
+    definite (raises :class:`LLAssumptionError` otherwise -- the network's
+    damping capacity is exhausted and no source-side index can restore it).
     """
     y_v = np.asarray(y_virtual, dtype=float)
-    n_l = len(Y.partition.load_ids)
-    if y_v.shape != (n_l,):
-        raise NetworkError(f"expected {n_l} virtual admittances, got shape {y_v.shape}")
-    c = math.cos(theta0)
-    m_ll = Y.Yll * c - np.diag(y_v)
-    lam = np.linalg.eigvalsh((m_ll + m_ll.T) / 2.0)
+    src, ld = Y.partition.source_ids, Y.partition.load_ids
+    if y_v.shape != (len(ld),):
+        raise NetworkError(f"expected {len(ld)} virtual admittances, got shape {y_v.shape}")
+    d = np.zeros(Y.n_nodes)
+    d[list(ld)] = y_v
+    m = network_matrix(Y, theta0, d)
+    m_ll = m[np.ix_(ld, ld)]
+    lam = np.linalg.eigvalsh(m_ll)
     scale = max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
     if lam.size and float(lam[0]) <= 1e-12 * scale:
         raise LLAssumptionError(
             f"Y^ll cos(theta0) - diag(y_v) is not positive definite (lambda_min = {float(lam[0]):.6e})"
         )
-    xi = Y.Yss * c - (c * c) * (Y.Ysl @ np.linalg.solve(m_ll, Y.Yls))
+    xi = m[np.ix_(src, src)] - m[np.ix_(src, ld)] @ np.linalg.solve(m_ll, m[np.ix_(ld, src)])
     return (xi + xi.T) / 2.0
 
 

@@ -1,4 +1,5 @@
-"""Admittance construction, rotation, and the Schur-complement grid code."""
+"""Admittance construction, the real network matrix and its PSD check, and
+the Schur-complement grid code."""
 
 from __future__ import annotations
 
@@ -13,9 +14,10 @@ from dstab.network import (
     AdmittanceMatrix,
     NodePartition,
     build_admittance,
+    GridCode,
     check_rotated_psd,
     grid_code,
-    rotate_network,
+    network_matrix,
     schur_xi,
 )
 from dstab.regions import horizontal_strip, sector, shifted_lhp
@@ -24,6 +26,22 @@ from dstab.regions import horizontal_strip, sector, shifted_lhp
 @pytest.fixture
 def star3() -> AdmittanceMatrix:
     return build_admittance([(0, 2, 0.1), (1, 2, 0.1)], 3, NodePartition((0, 1), (2,)))
+
+
+def block(Y: AdmittanceMatrix, rows: str, cols: str) -> np.ndarray:
+    """Source ("s") or load ("l") block of the admittance matrix."""
+    ids = {"s": Y.partition.source_ids, "l": Y.partition.load_ids}
+    return Y.Y[np.ix_(ids[rows], ids[cols])]
+
+
+def complex_psd_reference(Y: AdmittanceMatrix, theta0: float, rho: np.ndarray) -> tuple[bool, float, float]:
+    """Theorem-1 condition on the complex route: Y_hat = e^{-j theta0} Y -
+    diag(rho) and the Hermitian eigenvalues of Y_hat + Y_hat^H.  Returns the
+    verdict, lambda_min and the band scale max(1, max |lambda|)."""
+    y_hat = np.exp(-1j * theta0) * Y.Y.astype(complex) - np.diag(rho.astype(complex))
+    eigs = np.linalg.eigvalsh(y_hat + y_hat.conj().T)
+    scale = max(1.0, float(np.max(np.abs(eigs))))
+    return float(eigs[0]) >= -1e-9 * scale, float(eigs[0]), scale
 
 
 class TestBuild:
@@ -67,33 +85,48 @@ class TestBuild:
             Y = AdmittanceMatrix(random_laplacian(rng, n), part)
             if not part.load_ids:
                 continue
-            assert np.linalg.eigvalsh(Y.Yll)[0] > 0
+            assert np.linalg.eigvalsh(block(Y, "l", "l"))[0] > 0
 
 
-class TestRotation:
-    def test_zero_angle_identity(self, star3):
-        assert np.allclose(rotate_network(star3, 0.0), star3.Y)
+class TestNetworkMatrix:
+    def test_zero_angle_no_gain_is_admittance(self, star3):
+        assert np.array_equal(network_matrix(star3, 0.0, np.zeros(3)), star3.Y)
 
-    def test_uniform_angle_hermitian_part(self, star3):
-        theta = 0.4
-        y_hat = rotate_network(star3, theta)
-        assert np.allclose(y_hat + y_hat.conj().T, 2.0 * math.cos(theta) * star3.Y)
+    def test_half_hermitian_part_of_rotated_network(self, star3):
+        theta, rho = 0.4, np.array([-0.3, 0.2, 1.5])
+        y_hat = np.exp(-1j * theta) * star3.Y - np.diag(rho)
+        assert np.allclose(2.0 * network_matrix(star3, theta, rho), y_hat + y_hat.conj().T, atol=1e-12)
 
-    def test_right_angle_kills_hermitian_part(self, star3):
-        y_hat = rotate_network(star3, math.pi / 2)
-        assert np.allclose(y_hat + y_hat.conj().T, 0.0, atol=1e-12)
+    def test_right_angle_kills_network(self, star3):
+        assert np.allclose(network_matrix(star3, math.pi / 2, np.zeros(3)), 0.0, atol=1e-12)
 
     def test_laplacian_psd_at_zero(self, star3):
-        ok, lam = check_rotated_psd(rotate_network(star3, 0.0))
+        ok, lam = check_rotated_psd(network_matrix(star3, 0.0, np.zeros(3)))
         assert ok and lam == pytest.approx(0.0, abs=1e-9)
 
     def test_negative_rotation_fails(self):
-        ok, lam = check_rotated_psd(np.array([[np.exp(-2j * math.pi / 3)]]))
+        ok, lam = check_rotated_psd(np.array([[math.cos(2 * math.pi / 3)]]))
         assert not ok and lam == pytest.approx(2 * math.cos(2 * math.pi / 3))
 
     def test_star_sector_angle_psd(self, star3):
-        ok, _ = check_rotated_psd(rotate_network(star3, math.pi / 12))
+        ok, _ = check_rotated_psd(network_matrix(star3, math.pi / 12, np.zeros(3)))
         assert ok
+
+    @pytest.mark.parametrize("angle", ["zero", "right", "uniform"])
+    def test_real_route_matches_complex_reference(self, rng, angle):
+        verdicts = set()
+        for _ in range(60):
+            n = int(rng.integers(2, 13))
+            Y = AdmittanceMatrix(random_laplacian(rng, n), random_partition(rng, n))
+            theta = {"zero": 0.0, "right": math.pi / 2, "uniform": float(rng.uniform(0.0, math.pi / 2))}[angle]
+            rho = rng.uniform(-1.0, 1.0, size=n) * float(rng.choice([1e-3, 1.0, 10.0]))
+            rho[rng.random(n) < 0.3] = 0.0
+            ok, lam = check_rotated_psd(network_matrix(Y, theta, rho))
+            ref_ok, ref_lam, scale = complex_psd_reference(Y, theta, rho)
+            assert ok == ref_ok
+            assert abs(lam - ref_lam) <= 1e-12 * scale
+            verdicts.add(ok)
+        assert verdicts == {True, False}
 
 
 class TestSchur:
@@ -109,6 +142,34 @@ class TestSchur:
     def test_damping_capacity_exhausted(self, star3):
         with pytest.raises(LLAssumptionError):
             schur_xi(star3, 0.0, [25.0])
+
+    @pytest.mark.parametrize("angle", ["zero", "right", "uniform"])
+    def test_matches_block_formula(self, rng, angle):
+        # Xi = c Yss - c^2 Ysl (c Yll - diag y_v)^{-1} Yls, from the separate blocks of Y
+        # On a strip (right angle) the virtual admittances are negative.
+        checked = 0
+        for _ in range(200):
+            n = int(rng.integers(3, 13))
+            part = random_partition(rng, n)
+            if not part.source_ids:
+                continue
+            Y = AdmittanceMatrix(random_laplacian(rng, n), part)
+            theta = {"zero": 0.0, "right": math.pi / 2, "uniform": float(rng.uniform(0.0, math.pi / 2 - 0.05))}[angle]
+            c = math.cos(theta)
+            low, high = (-0.3, -0.01) if angle == "right" else (-0.1, 0.3)
+            y_v = rng.uniform(low, high, size=len(part.load_ids))
+            try:
+                xi = schur_xi(Y, theta, y_v)
+            except LLAssumptionError:
+                continue
+            m_ll = c * block(Y, "l", "l") - np.diag(y_v)
+            ref = c * block(Y, "s", "s") - c * c * (block(Y, "s", "l") @ np.linalg.solve(m_ll, block(Y, "l", "s")))
+            ref = (ref + ref.T) / 2.0
+            # Relative to the terms the formula subtracts, since Xi may cancel to far below them.
+            scale = max(float(np.max(np.abs(ref))), c * float(np.max(np.abs(block(Y, "s", "s")))))
+            assert float(np.max(np.abs(xi - ref))) <= 1e-12 * scale
+            checked += 1
+        assert checked >= 40
 
     def test_symmetry(self, rng):
         for _ in range(20):
@@ -170,6 +231,15 @@ class TestGridCode:
             Y = AdmittanceMatrix(random_laplacian(rng, n), part)
             gc = grid_code(Y, shifted_lhp(0.0), [(1e-3, 0.0)] * len(part.load_ids))
             assert gc.bound <= 1e-9
+
+    def test_admits_at_the_floor_band(self, star3):
+        gc = grid_code(star3, shifted_lhp(0.0), [(2e-3, 5.0)])
+        floor = gc.bound
+        assert gc.admits(floor + 2e-9) and gc.admits(floor) and gc.admits(floor - 0.5e-9)
+        assert not gc.admits(floor - 2e-9)
+        # Strip compliance asks admits(0.0): a floor within 1e-9 of 0 admits index 0.
+        assert GridCode(horizontal_strip(10.0), -0.5e-9, (), True).admits(0.0)
+        assert not GridCode(horizontal_strip(10.0), -2e-9, (), True).admits(0.0)
 
     def test_overload_reports_violation(self, star3):
         gc = grid_code(star3, shifted_lhp(0.0), [(2e-3, 25.0)])
