@@ -18,13 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dstability import certify_thm1, certify_thm2, loop_transformed, pole_margins
+from .dstability import certify_thm1, certify_thm2, loop_transformed, pole_margins, reused_positivity
 from .errors import ConvergenceError, DstabError, RootFindingError, ScenarioError
 from .positivity import check_positive_siso
 from .regions import region_from_spec, region_to_spec, parts
-from .scenario import (
-    build_model, chosen_indices, compliance, grid_codes, load_scenario, resolve_equilibrium, synthesize,
-)
+from .scenario import build_model, grid_codes, indexed_model, load_scenario, resolve_equilibrium, synthesize
 from .sim import Trajectory, metrics, simulate
 
 
@@ -113,19 +111,11 @@ def cmd_gridcode(args) -> int:
 
 
 def cmd_check(args) -> int:
-    import dataclasses
-
     sc = _load(args)
     eq = resolve_equilibrium(sc)
-    model = build_model(sc, eq)
-    codes = grid_codes(sc, eq) if args.theorem == 2 or model.y_s is None else None
-    # Source indices come from the scenario when pinned, otherwise from the
-    # synthesis bounds (each source tuned to its maximum admissible index);
-    # the certifier then reuses the positivity each compliant source decided.
-    reports = None
-    if model.y_s is None:
-        reports = compliance(sc, eq, codes)
-        model = dataclasses.replace(model, y_s=chosen_indices(reports))
+    codes = grid_codes(sc, eq) if args.theorem == 2 else None
+    # The certifier reuses the positivity each compliant source decided.
+    model, reports = indexed_model(sc, eq, codes)
     report = certify_thm1(model, reports) if args.theorem == 1 else certify_thm2(model, codes, reports)
     payload = {"scenario": sc.name, **report.as_dict()}
     _emit(dumps(payload), args.out)
@@ -180,13 +170,14 @@ def _rational_as_json(r) -> dict:
 
 def cmd_positivity(args) -> int:
     sc = _load(args)
-    model = build_model(sc)
+    model, reports = indexed_model(sc, resolve_equilibrium(sc))
     payload = {"scenario": sc.name, "parts": []}
     all_ok = True
     for idx, part in enumerate(parts(model.region)):
         nodes = []
+        decided = reused_positivity(model, idx, reports[idx] if reports else None)
         for k, g_tilde in enumerate(loop_transformed(model, part, idx)):
-            report = check_positive_siso(g_tilde)
+            report = decided[k] if k in decided else check_positive_siso(g_tilde)
             all_ok = all_ok and report.is_positive
             nodes.append({
                 "node": k + 1,

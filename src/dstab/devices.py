@@ -48,6 +48,15 @@ class GenericSecondOrder:
     def tf(self) -> CRational:
         return CRational.from_coeffs([self.c0, self.c1], [self.d0, self.d1, 1.0])
 
+    @classmethod
+    def from_tf(cls, tf: CRational) -> GenericSecondOrder | None:
+        """The coefficients of ``tf`` if it has the generic form with real
+        coefficients, c1 > 0 and c0 >= 0; otherwise None."""
+        num, den = tf.num.coeffs, tf.den.coeffs
+        if len(num) != 2 or len(den) != 3 or any(c.imag for c in num + den) or num[1].real <= 0 or num[0].real < 0:
+            return None
+        return cls(num[1].real, num[0].real, den[1].real, den[0].real)
+
 
 @dataclass(frozen=True)
 class EssBoostParams:
@@ -250,7 +259,7 @@ def loop_transform(tf: CRational, region: HalfPlaneRegion, rho: float) -> CRatio
     loop-transform gain: [1 + rho g_hat]^{-1} g_hat.  A source with index y_s
     has rho = -y_s, a load its virtual admittance; rho = 0 leaves g_hat open."""
     g_hat = map_subsystem(tf, region)
-    return feedback(g_hat, complex(rho)) if rho != 0 else g_hat
+    return feedback(g_hat, rho) if rho != 0 else g_hat
 
 
 def bound_lhp(g: GenericSecondOrder, alpha: float) -> tuple[bool, float]:
@@ -293,6 +302,17 @@ def bound_hs(g: GenericSecondOrder) -> float:
     ratio = g.c0 / g.c1
     radicand = ratio * ratio - ratio * g.d1 + g.d0
     return math.sqrt(radicand) if radicand > 0 else 0.0
+
+
+def index_cap(g: GenericSecondOrder, region: HalfPlaneRegion) -> float | None:
+    """The closed-form upper limit on a source's index for a shifted-LHP or
+    sector ``region``; None for an infeasible shifted LHP and for the other
+    families (on a strip the index is 0)."""
+    kind = family(region)
+    if kind == "lhp":
+        feasible, cap = bound_lhp(g, region.sigma0)
+        return cap if feasible else None
+    return bound_sector(g, math.pi / 2 - region.theta0) if kind == "sector" else None
 
 
 def _classify(devices: Sequence[DeviceParams], partition: NodePartition) -> None:
@@ -438,18 +458,14 @@ def check_compliance(
             positivity=check_positive_siso(loop_transform(g.tf, region, 0.0)) if ok else None,
         )
 
-    if kind == "lhp":
-        feasible, cap = bound_lhp(g, region.sigma0)
-        if not feasible:
-            return ComplianceReport(False, kind, None, floor, None, None, "region_feasibility", None)
-        closed_cap = (g.d1 + region.sigma0 - g.c0 / g.c1) / g.c1
-        # The first bound is attainable; the stability bound is strict.
-        strict_cap = cap < closed_cap
-    elif kind == "sector":
-        cap = bound_sector(g, math.pi / 2 - region.theta0)
-        strict_cap = True
-    else:
+    if kind not in ("lhp", "sector"):
         raise ValueError(f"no closed-form synthesis bound for region family {kind!r}")
+    cap = index_cap(g, region)
+    if cap is None:
+        return ComplianceReport(False, kind, None, floor, None, None, "region_feasibility", None)
+    # The first LHP bound is attainable; the LHP stability bound and the
+    # sector bound are strict.
+    strict_cap = kind == "sector" or cap < (g.d1 + region.sigma0 - g.c0 / g.c1) / g.c1
 
     if not math.isfinite(cap) and cap < 0:
         return ComplianceReport(False, kind, None, floor, cap, None, "device", None)

@@ -19,7 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .cpoly import CRational
-from .devices import ComplianceReport, loop_transform, virtual_admittance_from_conductance
+from .devices import (
+    ComplianceReport, GenericSecondOrder, index_cap, loop_transform, virtual_admittance_from_conductance,
+)
 from .errors import NonProperError
 from .network import AdmittanceMatrix, GridCode, check_rotated_psd, network_matrix
 from .positivity import PositivityReport, check_positive_siso
@@ -74,13 +76,11 @@ class SystemModel:
 
     def part_rho(self, part: HalfPlaneRegion, part_index: int) -> np.ndarray:
         rho = np.zeros(self.network.n_nodes)
-        y_s = self.y_s_for_part(part_index)
-        for pos, k in enumerate(self.network.partition.source_ids):
-            rho[k] = -y_s[pos]
+        rho[list(self.network.partition.source_ids)] = np.negative(self.y_s_for_part(part_index))
         if self.load_cy is not None:
-            for pos, k in enumerate(self.network.partition.load_ids):
-                c_l, y_l = self.load_cy[pos]
-                rho[k] = virtual_admittance_from_conductance(c_l, y_l, part)
+            rho[list(self.network.partition.load_ids)] = [
+                virtual_admittance_from_conductance(c_l, y_l, part) for c_l, y_l in self.load_cy
+            ]
         return rho
 
 
@@ -201,20 +201,26 @@ def loop_transformed(m: SystemModel, part: HalfPlaneRegion, part_index: int) -> 
     return [loop_transform(g, part, rho) for g, rho in zip(m.subsystems, m.part_rho(part, part_index))]
 
 
+def reused_positivity(
+    m: SystemModel, part_index: int, compliance: Sequence[ComplianceReport | None] | None,
+) -> dict[int, PositivityReport]:
+    """Positivity, by node, of each source whose report in ``compliance`` (one
+    part's, per source) chose the index it carries here: the same function,
+    built by the same loop_transform, so its report stands."""
+    return {
+        k: rep.positivity
+        for k, rep, y in zip(m.network.partition.source_ids, compliance or (), m.y_s_for_part(part_index))
+        if rep is not None and rep.compliant and rep.y_s == y
+    }
+
+
 def _certify_part(
     m: SystemModel, part: HalfPlaneRegion, part_index: int, *, theorem: str,
     grid_code: GridCode | None, compliance: Sequence[ComplianceReport | None] | None,
 ) -> PartCertificate:
     notes: list[str] = []
     y_s = m.y_s_for_part(part_index)
-    # A source whose compliance report against this part's grid code chose
-    # the index it carries here has decided positivity of the same function,
-    # built by the same loop_transform: reuse that report.
-    decided = {
-        k: rep.positivity
-        for k, rep, y in zip(m.network.partition.source_ids, compliance or (), y_s)
-        if rep is not None and rep.compliant and rep.y_s == y
-    }
+    decided = reused_positivity(m, part_index, compliance)
     rho = m.part_rho(part, part_index)
     device_reports = [
         decided[k] if k in decided else check_positive_siso(loop_transform(g, part, rho[k]))
@@ -228,7 +234,12 @@ def _certify_part(
         if not grid_code.ll_assumption_ok:
             notes.append("network damping assumption violated: relax the target region or shed loads")
         elif not network_ok:
-            notes.append(f"source index {min(y_s):.6g} below the network floor {grid_code.bound:.6g}")
+            # The binding source: the lowest index, on a tie the lowest node.
+            y, node = min(zip(y_s, m.network.partition.source_ids))
+            g = GenericSecondOrder.from_tf(m.subsystems[node])
+            cap = index_cap(g, part) if g is not None else None
+            at = f"node {node + 1}" + (f" (cap {cap:.6g})" if cap is not None else "")
+            notes.append(f"source index {y:.6g} at {at} below the network floor {grid_code.bound:.6g}")
     else:
         network_ok, lam = check_rotated_psd(network_matrix(m.network, part.theta0, rho))
         if not network_ok:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -338,6 +338,20 @@ def chosen_indices(reports: list[list[dev.ComplianceReport | None]]) -> tuple[tu
     and source.  Non-compliant devices report index 0; certification then
     fails on the network or device condition instead of propagating NaN."""
     return tuple(tuple(r.y_s if r is not None and r.compliant else 0.0 for r in row) for row in reports)
+
+
+def indexed_model(
+    sc: Scenario, eq: dev.Equilibrium, codes: list[GridCode] | None = None,
+) -> tuple[SystemModel, list[list[dev.ComplianceReport | None]] | None]:
+    """The model at ``eq`` with the source indices that ``check`` certifies:
+    the pinned y_s table, else each source's synthesized index against the
+    grid codes ``codes`` (built here when not given).  Returns the
+    :func:`compliance` reports that chose the indices, or None when pinned."""
+    model = build_model(sc, eq)
+    if model.y_s is not None:
+        return model, None
+    reports = compliance(sc, eq, codes if codes is not None else grid_codes(sc, eq))
+    return replace(model, y_s=chosen_indices(reports)), reports
 
 
 def synthesize(

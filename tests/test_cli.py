@@ -7,6 +7,7 @@ import math
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dstab.cli import dumps, main
@@ -207,6 +208,40 @@ class TestCheck:
         perturbed.write_text(json.dumps(raw))
         assert results(perturbed) == results(DATA / f"{name}.json")
 
+    def test_failing_part_names_its_binding_source(self, capsys):
+        # The note gives the source with the lowest index (lowest node on a
+        # tie), its index, its cap from synthesis and the part's floor.
+        path = str(DATA / "ieee39_default.json")
+        code, out, _ = run(capsys, "check", path, "--theorem", "2")
+        _, syn, _ = run(capsys, "synthesize", path)
+        assert code == 1
+        synthesis = json.loads(syn)
+        failing = 0
+        for part, grid, entries, y_s in zip(json.loads(out)["parts"], synthesis["grid_codes"],
+                                            synthesis["parts"], synthesis["y_s"]):
+            floor = grid["y_s_lower_bound"]
+            below = [(y, e["node"], e["y_s_cap"]) for y, e in zip(y_s, entries) if y < floor - 1e-9]
+            if not below:
+                assert part["network_ok"] and part["notes"] == []
+                continue
+            failing += 1
+            y, node, cap = min(below)
+            assert not part["network_ok"]
+            note = f"source index {y:.6g} at node {node} (cap {cap:.6g}) below the network floor {floor:.6g}"
+            assert part["notes"] == [note]
+        assert failing == 2
+
+    def test_pinned_index_below_floor_names_its_source(self, capsys, tmp_path):
+        path = toy_variant(tmp_path, lambda raw: raw.update(y_s=[[0.3, 0.01]]))
+        _, syn, _ = run(capsys, "synthesize", str(path))
+        entry = json.loads(syn)["parts"][0][1]
+        floor, cap = entry["y_s_floor"], entry["y_s_cap"]
+        assert 0.01 < floor < 0.3
+        code, out, _ = run(capsys, "check", str(path), "--theorem", "2")
+        assert code == 1
+        note = f"source index 0.01 at node 2 (cap {cap:.6g}) below the network floor {floor:.6g}"
+        assert json.loads(out)["parts"][0]["notes"] == [note]
+
     def test_pinned_equilibrium_validated(self, capsys, tmp_path):
         def corrupt(raw):
             raw["equilibrium"]["u_star_volt"][0] += 5.0
@@ -368,6 +403,95 @@ class TestPositivityCmd:
         payload = json.loads(out)
         assert len(payload["parts"][0]["devices"]) == 3
         assert all(d["is_positive"] for d in payload["parts"][0]["devices"])
+
+    @pytest.mark.parametrize("name", ["toy3", "ieee39_default", "ieee39_synthesized", "toy3-pinned"])
+    def test_reports_the_indices_check_certifies(self, capsys, tmp_path, name):
+        # Without a pinned y_s both commands build each source at its
+        # synthesized index; with one, at the pinned index.
+        if name == "toy3-pinned":
+            path = str(toy_variant(tmp_path, lambda raw: raw.update(y_s=[[0.1, 0.2]])))
+        else:
+            path = str(DATA / f"{name}.json")
+        code_pos, pos, _ = run(capsys, "positivity", path)
+        _, cert, _ = run(capsys, "check", path, "--theorem", "1")
+        cert_parts = json.loads(cert)["parts"]
+        pos_parts = json.loads(pos)["parts"]
+        assert len(pos_parts) == len(cert_parts)
+        all_positive = True
+        for p, c in zip(pos_parts, cert_parts):
+            assert p["region"] == c["region"]
+            reports = [{k: v for k, v in d.items() if k not in ("node", "transfer_function")} for d in p["devices"]]
+            assert reports == c["devices"]
+            all_positive = all_positive and all(d["is_positive"] for d in reports)
+        assert code_pos == (0 if all_positive else 1)
+
+    @pytest.mark.parametrize("name, expected", [("toy3", 3), ("ieee39_default", 117), ("ieee39_synthesized", 117)])
+    def test_one_positivity_check_per_node_and_part(self, capsys, monkeypatch, name, expected):
+        import dstab.cli as cli
+        import dstab.devices as dev
+
+        calls = []
+        check = cli.check_positive_siso
+        for module in (dev, cli):
+            monkeypatch.setattr(module, "check_positive_siso", lambda *a, **k: calls.append(1) or check(*a, **k))
+        code, _, _ = run(capsys, "positivity", str(DATA / f"{name}.json"))
+        assert code in (0, 1)
+        assert len(calls) == expected
+
+
+def relabelled(raw: dict, perm: list[int]) -> dict:
+    """The scenario with node k (1-based) renamed perm[k - 1], and its edge,
+    device, source and load lists reversed."""
+    assert raw.get("y_s") is None
+
+    def new(k: int) -> int:
+        return perm[k - 1]
+
+    def by_new_id(values: list) -> list:
+        out = [None] * len(values)
+        for k, v in enumerate(values, start=1):
+            out[new(k) - 1] = v
+        return out
+
+    topo = raw["topology"]
+    out = json.loads(json.dumps(raw))
+    out["topology"] = {
+        "nodes": topo["nodes"],
+        "edges": [[new(i), new(j), r] for i, j, r in reversed(topo["edges"])],
+        "sources": [new(k) for k in reversed(topo["sources"])],
+        "loads": [new(k) for k in reversed(topo["loads"])],
+    }
+    out["devices"] = [{**block, "node": new(block["node"])} for block in reversed(raw["devices"])]
+    out["equilibrium"] = {key: by_new_id(values) for key, values in raw["equilibrium"].items()}
+    out["disturbance"] = {**raw["disturbance"], "node": new(raw["disturbance"]["node"])}
+    return out
+
+
+class TestRelabelling:
+    @pytest.mark.parametrize("theorem", ["1", "2"])
+    @pytest.mark.parametrize("name, perm", [
+        ("toy3", [3, 1, 2]),
+        ("toy3", [2, 1, 3]),
+        ("ieee39_synthesized", [int(k) + 1 for k in np.random.default_rng(0).permutation(39)]),
+    ], ids=["toy3-load-first", "toy3-sources-swapped", "ieee39_synthesized-random"])
+    def test_check_is_invariant_under_node_relabelling(self, capsys, tmp_path, theorem, name, perm):
+        raw = json.loads((DATA / f"{name}.json").read_text())
+        n = raw["topology"]["nodes"]
+        path = tmp_path / "relabelled.json"
+        path.write_text(json.dumps(relabelled(raw, perm)))
+
+        code, out, _ = run(capsys, "check", str(DATA / f"{name}.json"), "--theorem", theorem)
+        code_r, out_r, _ = run(capsys, "check", str(path), "--theorem", theorem)
+        assert code_r == code
+        report, report_r = json.loads(out), json.loads(out_r)
+        assert report_r["certified"] == report["certified"]
+        assert len(report_r["parts"]) == len(report["parts"])
+        for part, part_r in zip(report["parts"], report_r["parts"]):
+            assert (part_r["certified"], part_r["network_ok"]) == (part["certified"], part["network_ok"])
+            lam, lam_r = part["network_lambda_min"], part_r["network_lambda_min"]
+            assert lam_r == pytest.approx(lam, rel=1e-9, abs=1e-9)
+            for k in range(1, n + 1):
+                assert part_r["devices"][perm[k - 1] - 1] == part["devices"][k - 1]
 
 
 class TestDeterminism:

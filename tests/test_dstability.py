@@ -184,6 +184,22 @@ class TestCertifyGridCode:
         assert not report.certified
         assert not report.parts[0].network_ok
 
+    def test_below_floor_note_names_binding_source(self, star_system):
+        Y, buck, cpl, u_star, subsystems, load_cy = star_system
+        region = shifted_lhp(-2.0)
+        gc = grid_code(Y, region, [load_cy[0]])
+        y_s = ((gc.bound + 0.01, gc.bound - 0.01),)
+        m = SystemModel(subsystems, Y, region, load_cy=load_cy, y_s=y_s)
+        cap = dev.index_cap(buck, region)
+        expected = (f"source index {gc.bound - 0.01:.6g} at node 2 (cap {cap:.6g}) "
+                    f"below the network floor {gc.bound:.6g}")
+        assert certify_thm2(m, [gc]).parts[0].notes == (expected,)
+        # A subsystem without the generic source form has no closed-form cap.
+        third_order = CRational.from_coeffs([1.0, 1.0], [1.0, 3.0, 3.0, 1.0])
+        m = dataclasses.replace(m, subsystems=(subsystems[0], third_order, subsystems[2]))
+        expected = f"source index {gc.bound - 0.01:.6g} at node 2 below the network floor {gc.bound:.6g}"
+        assert certify_thm2(m, [gc]).parts[0].notes == (expected,)
+
     def test_strip_auto_passes_network(self, star_system):
         Y, buck, cpl, u_star, subsystems, load_cy = star_system
         region = HalfPlaneRegion(math.pi / 2, 200.0, 0.0)
