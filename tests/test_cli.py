@@ -231,17 +231,6 @@ class TestCheck:
             assert part["notes"] == [note]
         assert failing == 2
 
-    def test_pinned_index_below_floor_names_its_source(self, capsys, tmp_path):
-        path = toy_variant(tmp_path, lambda raw: raw.update(y_s=[[0.3, 0.01]]))
-        _, syn, _ = run(capsys, "synthesize", str(path))
-        entry = json.loads(syn)["parts"][0][1]
-        floor, cap = entry["y_s_floor"], entry["y_s_cap"]
-        assert 0.01 < floor < 0.3
-        code, out, _ = run(capsys, "check", str(path), "--theorem", "2")
-        assert code == 1
-        note = f"source index 0.01 at node 2 (cap {cap:.6g}) below the network floor {floor:.6g}"
-        assert json.loads(out)["parts"][0]["notes"] == [note]
-
     def test_pinned_equilibrium_validated(self, capsys, tmp_path):
         def corrupt(raw):
             raw["equilibrium"]["u_star_volt"][0] += 5.0
@@ -405,14 +394,24 @@ class TestPositivityCmd:
         assert all(d["is_positive"] for d in payload["parts"][0]["devices"])
 
     @pytest.mark.parametrize("name", ["toy3", "ieee39_default", "ieee39_synthesized", "toy3-pinned"])
-    def test_reports_the_indices_check_certifies(self, capsys, tmp_path, name):
+    def test_reports_the_indices_check_certifies(self, capsys, monkeypatch, tmp_path, name):
         # Without a pinned y_s both commands build each source at its
-        # synthesized index; with one, at the pinned index.
+        # synthesized index, and positivity reuses each compliant source's
+        # check, so every node and part is checked once; with a pinned y_s,
+        # both use the pinned index.
+        import dstab.cli as cli
+        import dstab.devices as dev
+
         if name == "toy3-pinned":
             path = str(toy_variant(tmp_path, lambda raw: raw.update(y_s=[[0.1, 0.2]])))
         else:
             path = str(DATA / f"{name}.json")
-        code_pos, pos, _ = run(capsys, "positivity", path)
+        calls = []
+        check = cli.check_positive_siso
+        with monkeypatch.context() as patch:
+            for module in (dev, cli):
+                patch.setattr(module, "check_positive_siso", lambda *a, **k: calls.append(1) or check(*a, **k))
+            code_pos, pos, _ = run(capsys, "positivity", path)
         _, cert, _ = run(capsys, "check", path, "--theorem", "1")
         cert_parts = json.loads(cert)["parts"]
         pos_parts = json.loads(pos)["parts"]
@@ -424,19 +423,7 @@ class TestPositivityCmd:
             assert reports == c["devices"]
             all_positive = all_positive and all(d["is_positive"] for d in reports)
         assert code_pos == (0 if all_positive else 1)
-
-    @pytest.mark.parametrize("name, expected", [("toy3", 3), ("ieee39_default", 117), ("ieee39_synthesized", 117)])
-    def test_one_positivity_check_per_node_and_part(self, capsys, monkeypatch, name, expected):
-        import dstab.cli as cli
-        import dstab.devices as dev
-
-        calls = []
-        check = cli.check_positive_siso
-        for module in (dev, cli):
-            monkeypatch.setattr(module, "check_positive_siso", lambda *a, **k: calls.append(1) or check(*a, **k))
-        code, _, _ = run(capsys, "positivity", str(DATA / f"{name}.json"))
-        assert code in (0, 1)
-        assert len(calls) == expected
+        assert len(calls) == sum(len(p["devices"]) for p in pos_parts)
 
 
 def relabelled(raw: dict, perm: list[int]) -> dict:
