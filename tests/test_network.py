@@ -88,16 +88,16 @@ class TestBuild:
             assert np.linalg.eigvalsh(block(Y, "l", "l"))[0] > 0
 
 
-class TestNetworkMatrix:
-    def test_zero_angle_no_gain_is_admittance(self, star3):
+class TestRotation:
+    def test_zero_angle_identity(self, star3):
         assert np.array_equal(network_matrix(star3, 0.0, np.zeros(3)), star3.Y)
 
-    def test_half_hermitian_part_of_rotated_network(self, star3):
+    def test_uniform_angle_hermitian_part(self, star3):
         theta, rho = 0.4, np.array([-0.3, 0.2, 1.5])
         y_hat = np.exp(-1j * theta) * star3.Y - np.diag(rho)
         assert np.allclose(2.0 * network_matrix(star3, theta, rho), y_hat + y_hat.conj().T, atol=1e-12)
 
-    def test_right_angle_kills_network(self, star3):
+    def test_right_angle_kills_hermitian_part(self, star3):
         assert np.allclose(network_matrix(star3, math.pi / 2, np.zeros(3)), 0.0, atol=1e-12)
 
     def test_laplacian_psd_at_zero(self, star3):
