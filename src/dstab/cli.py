@@ -18,9 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dstability import certify_thm1, certify_thm2, loop_transformed, pole_margins, reused_positivity
+from .dstability import certify_thm1, certify_thm2, part_positivity, pole_margins
 from .errors import ConvergenceError, DstabError, RootFindingError, ScenarioError
-from .positivity import check_positive_siso
 from .regions import region_from_spec, region_to_spec, parts
 from .scenario import build_model, grid_codes, indexed_model, load_scenario, resolve_equilibrium, synthesize
 from .sim import Trajectory, metrics, simulate
@@ -175,9 +174,7 @@ def cmd_positivity(args) -> int:
     all_ok = True
     for idx, part in enumerate(parts(model.region)):
         nodes = []
-        decided = reused_positivity(model, idx, reports[idx] if reports else None)
-        for k, g_tilde in enumerate(loop_transformed(model, part, idx)):
-            report = decided[k] if k in decided else check_positive_siso(g_tilde)
+        for k, (g_tilde, report) in enumerate(part_positivity(model, part, idx, reports[idx] if reports else None)):
             all_ok = all_ok and report.is_positive
             nodes.append({
                 "node": k + 1,

@@ -397,7 +397,9 @@ def equilibrium_solve(
 
 @dataclass(frozen=True)
 class ComplianceReport:
-    """Outcome of checking one source device against a grid code."""
+    """Outcome of checking one source device against a grid code;
+    ``function`` is the loop-transformed function whose positivity
+    ``positivity`` reports."""
 
     compliant: bool
     region_kind: str
@@ -407,6 +409,7 @@ class ComplianceReport:
     gamma_bar: float | None
     binding: str
     positivity: PositivityReport | None
+    function: CRational | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -447,6 +450,7 @@ def check_compliance(
     if kind == "hstrip":
         gb = bound_hs(g)
         ok = region.omega0 > gb and grid_code.admits(0.0)
+        g_tilde = loop_transform(g.tf, region, 0.0) if ok else None
         return ComplianceReport(
             compliant=ok,
             region_kind=kind,
@@ -455,7 +459,8 @@ def check_compliance(
             y_s_cap=None,
             gamma_bar=gb,
             binding="none" if ok else "frequency_bound",
-            positivity=check_positive_siso(loop_transform(g.tf, region, 0.0)) if ok else None,
+            positivity=check_positive_siso(g_tilde) if ok else None,
+            function=g_tilde,
         )
 
     if kind not in ("lhp", "sector"):
@@ -473,12 +478,14 @@ def check_compliance(
     if not grid_code.admits(pick):
         return ComplianceReport(False, kind, None, floor, cap, None, "network", None)
 
-    report = check_positive_siso(loop_transform(g.tf, region, -pick))
+    g_tilde = loop_transform(g.tf, region, -pick)
+    report = check_positive_siso(g_tilde)
     if not report.is_positive:
         backed = pick - max(1e-9, 1e-6 * abs(pick))
         if grid_code.admits(backed):
-            retry = check_positive_siso(loop_transform(g.tf, region, -backed))
+            g_backed = loop_transform(g.tf, region, -backed)
+            retry = check_positive_siso(g_backed)
             if retry.is_positive:
-                return ComplianceReport(True, kind, backed, floor, cap, None, "none", retry)
-        return ComplianceReport(False, kind, None, floor, cap, None, "device", report)
-    return ComplianceReport(True, kind, pick, floor, cap, None, "none", report)
+                return ComplianceReport(True, kind, backed, floor, cap, None, "none", retry, g_backed)
+        return ComplianceReport(False, kind, None, floor, cap, None, "device", report, g_tilde)
+    return ComplianceReport(True, kind, pick, floor, cap, None, "none", report, g_tilde)

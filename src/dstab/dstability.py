@@ -2,7 +2,7 @@
 
 Two independent routes to the same question.  The decentralized certifiers
 (`certify_thm1`, `certify_thm2`) verify only local positivity of the mapped,
-rotated, loop-transformed subsystems (`loop_transformed`) plus a
+rotated, loop-transformed subsystems (`part_positivity`) plus a
 semidefiniteness condition on the modified network, and never touch the
 coupled dynamics.
 The brute-force oracle (`closed_loop_poles` / `verify_region`) assembles the
@@ -195,23 +195,27 @@ def closed_loop_poles(m: SystemModel) -> list[complex]:
     return sorted(cleaned, key=lambda z: (z.real, z.imag))
 
 
-def loop_transformed(m: SystemModel, part: HalfPlaneRegion, part_index: int) -> list[CRational]:
+def part_positivity(
+    m: SystemModel, part: HalfPlaneRegion, part_index: int,
+    compliance: Sequence[ComplianceReport | None] | None = None,
+) -> list[tuple[CRational, PositivityReport]]:
     """Every subsystem mapped into the nu-plane of ``part``, rotated by its
-    angle theta0 and closed through its loop-transform gain rho."""
-    return [loop_transform(g, part, rho) for g, rho in zip(m.subsystems, m.part_rho(part, part_index))]
-
-
-def reused_positivity(
-    m: SystemModel, part_index: int, compliance: Sequence[ComplianceReport | None] | None,
-) -> dict[int, PositivityReport]:
-    """Positivity, by node, of each source whose report in ``compliance`` (one
-    part's, per source) chose the index it carries here: the same function,
-    built by the same loop_transform, so its report stands."""
-    return {
-        k: rep.positivity
+    angle theta0 and closed through its loop-transform gain rho, with its
+    positivity report.  A source whose report in ``compliance`` (one part's,
+    per source) chose the index it carries here lends its function and
+    report: the same function, built by the same loop_transform."""
+    decided = {
+        k: (rep.function, rep.positivity)
         for k, rep, y in zip(m.network.partition.source_ids, compliance or (), m.y_s_for_part(part_index))
         if rep is not None and rep.compliant and rep.y_s == y
     }
+    out = []
+    for k, (g, rho) in enumerate(zip(m.subsystems, m.part_rho(part, part_index))):
+        if k not in decided:
+            g_tilde = loop_transform(g, part, rho)
+            decided[k] = (g_tilde, check_positive_siso(g_tilde))
+        out.append(decided[k])
+    return out
 
 
 def _certify_part(
@@ -220,12 +224,7 @@ def _certify_part(
 ) -> PartCertificate:
     notes: list[str] = []
     y_s = m.y_s_for_part(part_index)
-    decided = reused_positivity(m, part_index, compliance)
-    rho = m.part_rho(part, part_index)
-    device_reports = [
-        decided[k] if k in decided else check_positive_siso(loop_transform(g, part, rho[k]))
-        for k, g in enumerate(m.subsystems)
-    ]
+    device_reports = [report for _, report in part_positivity(m, part, part_index, compliance)]
 
     if theorem == "thm2":
         assert grid_code is not None
@@ -241,7 +240,7 @@ def _certify_part(
             at = f"node {node + 1}" + (f" (cap {cap:.6g})" if cap is not None else "")
             notes.append(f"source index {y:.6g} at {at} below the network floor {grid_code.bound:.6g}")
     else:
-        network_ok, lam = check_rotated_psd(network_matrix(m.network, part.theta0, rho))
+        network_ok, lam = check_rotated_psd(network_matrix(m.network, part.theta0, m.part_rho(part, part_index)))
         if not network_ok:
             notes.append(f"modified network has lambda_min = {lam:.6g} < 0")
 

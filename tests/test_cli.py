@@ -399,17 +399,17 @@ class TestPositivityCmd:
         # synthesized index, and positivity reuses each compliant source's
         # check, so every node and part is checked once; with a pinned y_s,
         # both use the pinned index.
-        import dstab.cli as cli
         import dstab.devices as dev
+        import dstab.dstability as dst
 
         if name == "toy3-pinned":
             path = str(toy_variant(tmp_path, lambda raw: raw.update(y_s=[[0.1, 0.2]])))
         else:
             path = str(DATA / f"{name}.json")
         calls = []
-        check = cli.check_positive_siso
+        check = dst.check_positive_siso
         with monkeypatch.context() as patch:
-            for module in (dev, cli):
+            for module in (dev, dst):
                 patch.setattr(module, "check_positive_siso", lambda *a, **k: calls.append(1) or check(*a, **k))
             code_pos, pos, _ = run(capsys, "positivity", path)
         _, cert, _ = run(capsys, "check", path, "--theorem", "1")
