@@ -51,7 +51,8 @@ class GenericSecondOrder:
     @classmethod
     def from_tf(cls, tf: CRational) -> GenericSecondOrder | None:
         """The coefficients of ``tf`` if it has the generic form with real
-        coefficients, c1 > 0 and c0 >= 0; otherwise None."""
+        coefficients, c1 > 0 and c0 >= 0; otherwise None.  A CRational keeps
+        its denominator monic, so den[1] and den[0] are d1 and d0."""
         num, den = tf.num.coeffs, tf.den.coeffs
         if len(num) != 2 or len(den) != 3 or any(c.imag for c in num + den) or num[1].real <= 0 or num[0].real < 0:
             return None

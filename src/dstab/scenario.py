@@ -18,7 +18,7 @@ import numpy as np
 from . import devices as dev
 from .errors import ScenarioError
 from .network import AdmittanceMatrix, GridCode, NodePartition, build_admittance, grid_code
-from .regions import Region, parts, region_from_spec
+from .regions import Region, family, parts, region_from_spec
 from .sim import DisturbanceSpec
 from .dstability import SystemModel
 
@@ -328,9 +328,13 @@ def compliance(
 ) -> list[list[dev.ComplianceReport | None]]:
     """Each source checked against each part's grid code from its own model
     at its own operating voltage; None where the code's damping assumption
-    fails."""
+    fails or the part's family has no closed-form synthesis bound."""
     coeffs = source_coefficients(sc, eq)
-    return [[dev.check_compliance(g, code) if code.ll_assumption_ok else None for g in coeffs] for code in codes]
+    return [
+        [dev.check_compliance(g, code) for g in coeffs]
+        if code.ll_assumption_ok and family(code.region) != "generic" else [None] * len(coeffs)
+        for code in codes
+    ]
 
 
 def chosen_indices(reports: list[list[dev.ComplianceReport | None]]) -> tuple[tuple[float, ...], ...]:
@@ -365,11 +369,12 @@ def synthesize(
     codes = codes or grid_codes(sc, eq)
     reports = compliance(sc, eq, codes)
     part_entries = []
-    for row in reports:
+    for code, row in zip(codes, reports):
         entries = []
         for k, report in zip(sc.partition.source_ids, row):
             if report is None:
-                entries.append({"node": k + 1, "compliant": False, "binding": "ll_assumption"})
+                binding = "ll_assumption" if not code.ll_assumption_ok else "region_family"
+                entries.append({"node": k + 1, "compliant": False, "binding": binding})
                 continue
             entry = {"node": k + 1, **report.as_dict()}
             del entry["positivity"]

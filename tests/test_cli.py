@@ -15,6 +15,7 @@ from dstab.cli import dumps, main
 DATA = Path(__file__).resolve().parent.parent / "src" / "dstab" / "data"
 TOY = str(DATA / "toy3.json")
 THREE_PARTS = '[{"kind":"lhp","alpha":-2},{"kind":"sector","beta":1.4},{"kind":"hstrip","gamma":300}]'
+GENERIC_HALFPLANE = '{"kind":"halfplane","theta0":0.3,"omega0":0,"sigma0":-1}'
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -424,6 +425,18 @@ class TestPositivityCmd:
             all_positive = all_positive and all(d["is_positive"] for d in reports)
         assert code_pos == (0 if all_positive else 1)
         assert len(calls) == sum(len(p["devices"]) for p in pos_parts)
+
+    @pytest.mark.parametrize("command", [["positivity"], ["check", "--theorem", "1"], ["check", "--theorem", "2"]])
+    def test_region_without_closed_form_bound_gives_a_verdict(self, capsys, command):
+        # A generic half-plane has no synthesis bound: its sources carry
+        # index 0, as synthesize reports, instead of failing the command.
+        code, out, err = run(capsys, command[0], TOY, *command[1:], "--region", GENERIC_HALFPLANE)
+        assert code in (0, 1) and err == ""
+        assert json.loads(out)["parts"]
+        _, synth, _ = run(capsys, "synthesize", TOY, "--region", GENERIC_HALFPLANE)
+        payload = json.loads(synth)
+        assert payload["y_s"] == [[0.0, 0.0]]
+        assert {e["binding"] for e in payload["parts"][0]} == {"region_family"}
 
 
 def relabelled(raw: dict, perm: list[int]) -> dict:

@@ -199,6 +199,12 @@ class TestCertifyGridCode:
         m = dataclasses.replace(m, subsystems=(subsystems[0], third_order, subsystems[2]))
         expected = f"source index {gc.bound - 0.01:.6g} at node 2 below the network floor {gc.bound:.6g}"
         assert certify_thm2(m, [gc]).parts[0].notes == (expected,)
+        # CRational scales a non-monic denominator to monic, so the cap is the same.
+        scaled = CRational.from_coeffs([2.0 * buck.c0, 2.0 * buck.c1], [2.0 * buck.d0, 2.0 * buck.d1, 2.0])
+        m = dataclasses.replace(m, subsystems=(subsystems[0], scaled, subsystems[2]))
+        expected = (f"source index {gc.bound - 0.01:.6g} at node 2 (cap {cap:.6g}) "
+                    f"below the network floor {gc.bound:.6g}")
+        assert certify_thm2(m, [gc]).parts[0].notes == (expected,)
 
     def test_strip_auto_passes_network(self, star_system):
         Y, buck, cpl, u_star, subsystems, load_cy = star_system
