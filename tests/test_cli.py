@@ -311,6 +311,13 @@ class TestSynthesize:
             assert entry["compliant"] == rep.compliant
             assert entry["y_s"] == pytest.approx(rep.y_s)
 
+    def test_names_a_region_without_closed_form_bound(self, capsys):
+        code, synth, _ = run(capsys, "synthesize", TOY, "--region", GENERIC_HALFPLANE)
+        assert code == 1
+        payload = json.loads(synth)
+        assert payload["y_s"] == [[0.0, 0.0]]
+        assert {e["binding"] for e in payload["parts"][0]} == {"region_family"}
+
 
 class TestSimulateCmd:
     def test_writes_csv_and_metrics(self, capsys, tmp_path):
@@ -433,10 +440,6 @@ class TestPositivityCmd:
         code, out, err = run(capsys, command[0], TOY, *command[1:], "--region", GENERIC_HALFPLANE)
         assert code in (0, 1) and err == ""
         assert json.loads(out)["parts"]
-        _, synth, _ = run(capsys, "synthesize", TOY, "--region", GENERIC_HALFPLANE)
-        payload = json.loads(synth)
-        assert payload["y_s"] == [[0.0, 0.0]]
-        assert {e["binding"] for e in payload["parts"][0]} == {"region_family"}
 
 
 def relabelled(raw: dict, perm: list[int]) -> dict:
