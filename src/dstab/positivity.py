@@ -42,10 +42,11 @@ POLE_TOL = 1e-9        # absolute tolerance on Re{pole}
 STRICT_TOL = 1e-9      # normalized margin for ">" / ">=" decisions
 RESIDUE_IM_TOL = 1e-9  # |Im residue| relative to |residue|
 A1I_TOL = 1e-12        # relative tolerance for the vanishing cubic coefficient
-# A k-fold root is resolved to within ~tol^(1/k) only (double roots split by
-# about 2e-6 at the 1e-12 residual level), so multiplicity detection on the
-# axis clusters far more loosely than conjugate dedup.  Roots of multiplicity
-# above two may still leak into the location check; the verdict is unchanged.
+# A k-fold root is resolved to within ~eps^(1/k) only (companion eigenvalues
+# split double roots by up to about 4e-7 relative), so multiplicity detection
+# on the axis clusters far more loosely than conjugate dedup.  Roots of
+# multiplicity above two may still leak into the location check; the verdict
+# is unchanged.
 AXIS_MULT_TOL = 1e-5
 
 

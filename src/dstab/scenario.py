@@ -269,12 +269,9 @@ def resolve_equilibrium(sc: Scenario) -> dev.Equilibrium:
     if sc.pinned_equilibrium is not None:
         eq = sc.pinned_equilibrium
         u = np.array(eq.u_star)
-        residual = dev.power_flow_residual(sc.network, sc.devices, u)
-        if float(np.max(np.abs(residual))) > 1e-6:
-            raise ScenarioError(
-                f"pinned equilibrium violates the power-flow equations "
-                f"(residual {float(np.max(np.abs(residual))):.3e})"
-            )
+        worst = float(np.max(np.abs(dev.power_flow_residual(sc.network, sc.devices, u))))
+        if not worst <= 1e-6:  # a NaN residual fails too
+            raise ScenarioError(f"pinned equilibrium violates the power-flow equations (residual {worst:.3e})")
         i = sc.network.Y @ u
         if float(np.max(np.abs(i - np.array(eq.i_star)))) > 1e-6 * max(1.0, float(np.max(np.abs(i)))):
             raise ScenarioError("pinned i_star is inconsistent with Y u_star")

@@ -276,6 +276,18 @@ class TestInputContract:
         assert code in (0, 1)
         assert len(json.loads(out)["parts"]) == 3
 
+    @pytest.mark.parametrize("command", ["check", "poles", "simulate"])
+    def test_nan_equilibrium_residual_exits_2(self, capsys, tmp_path, command):
+        # With P = 0 and u* = 0 the load residual is 0/0, and NaN > 1e-6 is False.
+        def zero_load(raw):
+            raw["devices"][2]["P_watt"] = 0.0
+            raw["equilibrium"] = {"u_star_volt": [0.0, 0.0, 0.0], "i_star_amp": [0.0, 0.0, 0.0]}
+
+        path = toy_variant(tmp_path, zero_load)
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "input" and "equilibrium" in err
+
     def test_unexpected_error_exits_3(self, capsys, monkeypatch):
         import dstab.cli as cli
 
@@ -530,3 +542,14 @@ class TestNumericalFailure:
         code, _, err = run(capsys, "check", str(path))
         assert code == 3
         assert '"error":"numerical"' in err
+
+    def test_eigensolver_failure_exits_3(self, capsys, monkeypatch):
+        import dstab.cpoly as cpoly
+
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(cpoly.np, "roots", broken)
+        code, out, err = run(capsys, "check", TOY)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "numerical" and "Eigenvalues did not converge" in err

@@ -115,6 +115,32 @@ class TestRoots:
         assert abs(found[0] + 1) < 1e-5 and abs(found[1] + 1) < 1e-5
         assert abs(found[2] - 2) < 1e-9
 
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_planted_roots_meet_residual_bound(self, rng, real):
+        def draw(size):
+            x = rng.standard_normal(size)
+            return x + 0j if real else x + 1j * rng.standard_normal(size)
+
+        for _ in range(300):
+            degree = int(rng.integers(1, 9))
+            zeros = int(rng.integers(0, min(degree, 2) + 1))
+            double = degree - zeros >= 2 and rng.random() < 0.5
+            free = draw(degree - zeros - 2 * double + 1)
+            while abs(free[-1]) < 0.2:
+                free[-1] = draw(1)[0]
+            planted = [0.0] * zeros + [draw(1)[0]] * (2 * double)
+            p = CPoly(tuple(free)) * CPoly.from_roots(planted)
+            assert p.degree == degree
+            found = roots(p)
+            assert len(found) == degree
+            assert found == sorted(found, key=lambda z: (z.real, z.imag))
+            assert sum(r == 0 for r in found) >= zeros
+            for r in found:
+                scale = sum(abs(c) * max(1.0, abs(r)) ** k for k, c in enumerate(p.coeffs))
+                assert abs(p(r)) <= 1e-8 * scale
+                if real and r.imag != 0:
+                    assert r.conjugate() in found
+
 
 class TestSubstituteAffine:
     def test_integrator_shift(self):

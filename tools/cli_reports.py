@@ -7,8 +7,9 @@ runs ``poles``, ``gridcode``, ``check --theorem 1``, ``check --theorem 2``,
 ``python -m dstab.cli`` of the checkout it lives in.  It then runs every
 command but ``simulate`` on variants that reach paths the shipped scenarios
 miss (see ``VARIANTS``): ``toy3`` with its synthesized ``y_s`` pinned, a
-three-part ``--region``, a region that fails the network damping assumption
-and ``ieee39_default`` under a single sector.  It writes
+three-part ``--region``, a region that fails the network damping assumption,
+``ieee39_default`` under a single sector and ``toy3`` under a tilted
+half-plane, a region without a closed-form synthesis bound.  It writes
 
 * ``<scenario>.<command>.out`` -- the command's stdout,
 * ``<scenario>.csv`` and ``<scenario>.metrics.json`` -- ``simulate --out``,
@@ -55,6 +56,7 @@ VARIANTS = {
     ])]),
     "toy3-failed-damping": ("toy3", ["--region", '{"kind":"lhp","alpha":-20000}']),
     "ieee39_default-sector": ("ieee39_default", ["--region", '{"kind":"sector","beta":1.308996938996}']),
+    "toy3-halfplane": ("toy3", ["--region", '{"kind":"halfplane","theta0":0.3,"omega0":0,"sigma0":-1}']),
 }
 
 
