@@ -33,7 +33,6 @@ from .devices import (
     equilibrium_solve,
     loop_transform,
     modified_cpl,
-    virtual_admittance,
 )
 from .dstability import (
     CertificationReport,

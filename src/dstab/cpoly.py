@@ -59,8 +59,8 @@ class CPoly:
         return cls((1 + 0j,))
 
     @classmethod
-    def from_roots(cls, roots: list[complex] | tuple[complex, ...], lead: complex = 1.0) -> CPoly:
-        c = np.array([complex(lead)])
+    def from_roots(cls, roots: list[complex] | tuple[complex, ...]) -> CPoly:
+        c = np.array([1 + 0j])
         for r in roots:
             c = np.convolve(c, np.array([-complex(r), 1.0]))
         return cls(tuple(c))

@@ -28,6 +28,11 @@ from .regions import HalfPlaneRegion, family
 if TYPE_CHECKING:
     from .network import AdmittanceMatrix, GridCode, NodePartition
 
+# Power-flow Newton iteration: residual infinity norm to reach (volts and
+# amps) and the iteration limit.
+NEWTON_TOL = 1e-9
+NEWTON_MAX_ITER = 100
+
 
 @dataclass(frozen=True)
 class GenericSecondOrder:
@@ -215,20 +220,6 @@ def cpl_tf(p: CplParams, u_star: float) -> CRational:
     return CRational.from_coeffs([1.0], [-y_l, p.C_l])
 
 
-def virtual_admittance_from_conductance(c_l: float, y_l: float, region: HalfPlaneRegion) -> float:
-    """Load-side parallel admittance that projects the rotated load pole onto
-    the imaginary axis: y_v = -C_l sigma0 + y_l cos(theta0) - C_l omega0 sin(theta0)."""
-    return (
-        -c_l * region.sigma0
-        + y_l * math.cos(region.theta0)
-        - c_l * region.omega0 * math.sin(region.theta0)
-    )
-
-
-def virtual_admittance(p: CplParams, u_star: float, region: HalfPlaneRegion) -> float:
-    return virtual_admittance_from_conductance(p.C_l, cpl_conductance(p, u_star), region)
-
-
 def modified_cpl(p: CplParams, u_star: float, region: HalfPlaneRegion) -> CRational:
     """Loop-transformed load 1 / (C_l (nu - j Im{nu_p})): a positive function
     with a simple imaginary-axis pole of residue 1/C_l."""
@@ -350,15 +341,12 @@ def equilibrium_solve(
     Y: AdmittanceMatrix,
     devices: Sequence[DeviceParams],
     nominal_voltage: float,
-    *,
-    tol: float = 1e-9,
-    max_iter: int = 100,
 ) -> Equilibrium:
     """Newton iteration on the DC power-flow residual from a flat start.
 
     Rejects low-voltage solutions (any node below half nominal) and raises
     :class:`ConvergenceError` if the infinity norm of the residual does not
-    drop below ``tol`` within ``max_iter`` iterations.
+    drop below ``NEWTON_TOL`` within ``NEWTON_MAX_ITER`` iterations.
     """
     n = Y.n_nodes
     if len(devices) != n:
@@ -368,9 +356,9 @@ def equilibrium_solve(
         raise NetworkError("power flow needs at least one droop-controlled source")
 
     u = np.full(n, float(nominal_voltage))
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         r = power_flow_residual(Y, devices, u)
-        if float(np.max(np.abs(r))) < tol:
+        if float(np.max(np.abs(r))) < NEWTON_TOL:
             break
         J = np.array(Y.Y)
         for k, dev in enumerate(devices):
@@ -389,7 +377,7 @@ def equilibrium_solve(
         if not np.all(np.isfinite(u)):
             raise ConvergenceError("power-flow iteration diverged")
     else:
-        raise ConvergenceError(f"power flow did not converge in {max_iter} iterations")
+        raise ConvergenceError(f"power flow did not converge in {NEWTON_MAX_ITER} iterations")
 
     if np.any(u < 0.5 * nominal_voltage):
         raise ConvergenceError("power flow converged to a low-voltage solution; rejected")

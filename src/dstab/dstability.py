@@ -19,13 +19,13 @@ from typing import Sequence
 import numpy as np
 
 from .cpoly import CRational
-from .devices import (
-    ComplianceReport, GenericSecondOrder, index_cap, loop_transform, virtual_admittance_from_conductance,
-)
+from .devices import ComplianceReport, GenericSecondOrder, index_cap, loop_transform
 from .errors import NonProperError
-from .network import AdmittanceMatrix, GridCode, check_rotated_psd, network_matrix
+from .network import (
+    AdmittanceMatrix, GridCode, check_rotated_psd, network_matrix, virtual_admittance_from_conductance,
+)
 from .positivity import PositivityReport, check_positive_siso
-from .regions import HalfPlaneRegion, Region, parts
+from .regions import HalfPlaneRegion, Region, parts, region_to_spec
 
 
 @dataclass(frozen=True)
@@ -109,23 +109,7 @@ class CertificationReport:
     def network_ok(self) -> bool:
         return all(p.network_ok for p in self.parts)
 
-    @property
-    def device_reports(self) -> tuple[PositivityReport, ...]:
-        """Per-node reports: the first failing part's report, else part 0's."""
-        n = len(self.parts[0].device_reports)
-        out = []
-        for k in range(n):
-            chosen = self.parts[0].device_reports[k]
-            for part in self.parts:
-                if not part.device_reports[k].is_positive:
-                    chosen = part.device_reports[k]
-                    break
-            out.append(chosen)
-        return tuple(out)
-
     def as_dict(self) -> dict:
-        from .regions import region_to_spec
-
         return {
             "theorem": self.theorem,
             "certified": self.certified,

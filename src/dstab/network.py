@@ -4,10 +4,11 @@ The network is a weighted Laplacian built from line resistances.  Every
 region part rotates the whole network by one angle theta0 and every
 loop-transform gain is real, so each network condition is a question about
 one real symmetric matrix, cos(theta0) Y - diag(rho) (`network_matrix`).
-Theorem 1 asks whether it is positive semidefinite.  The grid code puts the
-load virtual admittances into rho and reduces the condition to the minimum
-eigenvalue of a Schur complement on the source block; the broadcast value
-lower-bounds every source's positivity index.
+Theorem 1 asks whether it is positive semidefinite.  The grid code is the
+operator side of Theorem 2 and needs nothing from the device models: it puts
+the load virtual admittances into rho and reduces the condition to the
+minimum eigenvalue of a Schur complement on the source block; the broadcast
+value lower-bounds every source's positivity index.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LLAssumptionError, NetworkError
-from .regions import HalfPlaneRegion
+from .regions import HalfPlaneRegion, region_to_spec
 
 
 @dataclass(frozen=True)
@@ -103,8 +104,6 @@ class GridCode:
         return y >= self.bound - 1e-9
 
     def as_dict(self) -> dict:
-        from .regions import region_to_spec
-
         return {
             "region": region_to_spec(self.region),
             "ll_assumption_ok": self.ll_assumption_ok,
@@ -166,13 +165,29 @@ def check_rotated_psd(m: np.ndarray) -> tuple[bool, float]:
     return lam_min >= -1e-9 * scale, lam_min
 
 
-def schur_xi(Y: AdmittanceMatrix, theta0: float, y_virtual: list[float] | np.ndarray) -> np.ndarray:
-    """Schur complement on the source block of the :func:`network_matrix`
-    whose gains are the virtual admittances on the loads and 0 on the sources.
+def virtual_admittance_from_conductance(c_l: float, y_l: float, region: HalfPlaneRegion) -> float:
+    """Load-side parallel admittance that projects the rotated load pole onto
+    the imaginary axis: y_v = -C_l sigma0 + y_l cos(theta0) - C_l omega0 sin(theta0)."""
+    return (
+        -c_l * region.sigma0
+        + y_l * math.cos(region.theta0)
+        - c_l * region.omega0 * math.sin(region.theta0)
+    )
 
-    Requires its load block Y^ll cos(theta0) - diag(y_virtual) to be positive
-    definite (raises :class:`LLAssumptionError` otherwise -- the network's
-    damping capacity is exhausted and no source-side index can restore it).
+
+def schur_xi(Y: AdmittanceMatrix, theta0: float, y_virtual: list[float] | np.ndarray) -> np.ndarray:
+    """Schur complement Xi = M_ss - M_sl M_ll^{-1} M_ls on the source block of
+    the :func:`network_matrix` M whose gains are the virtual admittances on
+    the loads and 0 on the sources.
+
+    One symmetric eigendecomposition M_ll = V diag(lam) V^T of the load block
+    Y^ll cos(theta0) - diag(y_virtual) serves twice.  Its eigenvalues decide
+    the damping assumption: the block must be positive definite, and
+    lambda_min <= 1e-12 max(1, max |lam|) raises :class:`LLAssumptionError`
+    (the network's damping capacity is exhausted and no source-side index can
+    restore it); a Cholesky factor would instead leave the verdict on a
+    near-singular block to rounding.  Its factors give Xi = M_ss - W^T W with
+    W = diag(lam)^{-1/2} V^T M_ls, symmetric by construction.
     """
     y_v = np.asarray(y_virtual, dtype=float)
     src, ld = Y.partition.source_ids, Y.partition.load_ids
@@ -181,15 +196,14 @@ def schur_xi(Y: AdmittanceMatrix, theta0: float, y_virtual: list[float] | np.nda
     d = np.zeros(Y.n_nodes)
     d[list(ld)] = y_v
     m = network_matrix(Y, theta0, d)
-    m_ll = m[np.ix_(ld, ld)]
-    lam = np.linalg.eigvalsh(m_ll)
+    lam, v = np.linalg.eigh(m[np.ix_(ld, ld)])
     scale = max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
     if lam.size and float(lam[0]) <= 1e-12 * scale:
         raise LLAssumptionError(
             f"Y^ll cos(theta0) - diag(y_v) is not positive definite (lambda_min = {float(lam[0]):.6e})"
         )
-    xi = m[np.ix_(src, src)] - m[np.ix_(src, ld)] @ np.linalg.solve(m_ll, m[np.ix_(ld, src)])
-    return (xi + xi.T) / 2.0
+    w = (v.T @ m[np.ix_(ld, src)]) / np.sqrt(lam)[:, None]
+    return m[np.ix_(src, src)] - w.T @ w
 
 
 def grid_code(
@@ -205,8 +219,6 @@ def grid_code(
     ``ll_assumption_ok = False`` rather than raised: the operator must relax
     the target region or shed constant-power loads.
     """
-    from .devices import virtual_admittance_from_conductance
-
     if not Y.partition.source_ids or not Y.partition.load_ids:
         raise NetworkError("grid code needs nonempty source and load sets")
     if len(loads) != len(Y.partition.load_ids):

@@ -49,6 +49,12 @@ A1I_TOL = 1e-12        # relative tolerance for the vanishing cubic coefficient
 # is unchanged.
 AXIS_MULT_TOL = 1e-5
 
+# Sampled frequency condition of check_pr_real_matrix: w = 0 plus a
+# logarithmic base grid over [1e-3, 1e6] rad/s, each local minimum refined by
+# GOLDEN_ITERS golden-section steps.
+FREQUENCY_GRID = np.concatenate(([0.0], np.logspace(-3.0, 6.0, 2000)))
+GOLDEN_ITERS = 60
+
 
 class FailedCondition(str, Enum):
     NONE = "none"
@@ -90,11 +96,6 @@ class PositivityReport:
             ],
             "margin": self.margin,
         }
-
-
-def default_frequency_grid(n_points: int = 2000) -> np.ndarray:
-    """Logarithmic base grid over [1e-3, 1e6] rad/s used by sampled checks."""
-    return np.logspace(-3.0, 6.0, n_points)
 
 
 def real_part_numerator(h: CRational) -> CPoly:
@@ -326,12 +327,12 @@ def check_positive_second_order(a1: complex, a0: complex, b1: complex, b0: compl
     return PositivityReport(True, FailedCondition.NONE, (), min(margins))
 
 
-def _golden_min(f, a: float, b: float, iters: int = 60) -> tuple[float, float]:
+def _golden_min(f, a: float, b: float) -> tuple[float, float]:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -357,14 +358,15 @@ def _refined_minimum(f, grid: np.ndarray) -> tuple[float, float]:
     return best_w, best_v
 
 
-def check_pr_real_matrix(M: RealRationalMatrix2x2, grid: np.ndarray | None = None) -> PositivityReport:
+def check_pr_real_matrix(M: RealRationalMatrix2x2) -> PositivityReport:
     """Positive-realness check of the 2x2 real-rational embedding.
 
     Pole locations come exactly from the common denominator; the frequency
     condition uses the closed-form minimum eigenvalue
-    2*(Re{re(jw)} - |Im{im(jw)}|) on an adaptive grid over w >= 0 (response
-    of a real-rational matrix is conjugate-symmetric); residue matrices at
-    imaginary-axis poles must be Hermitian PSD.
+    2*(Re{re(jw)} - |Im{im(jw)}|) on FREQUENCY_GRID, refined around each
+    local minimum, over w >= 0 (response of a real-rational matrix is
+    conjugate-symmetric); residue matrices at imaginary-axis poles must be
+    Hermitian PSD.
     """
     if not (M.re.is_proper and M.im.is_proper):
         raise NonProperError("real-equivalent entries must be proper")
@@ -402,9 +404,6 @@ def check_pr_real_matrix(M: RealRationalMatrix2x2, grid: np.ndarray | None = Non
         margin_c = min(margin_c, lam)
 
     # frequency condition over w >= 0
-    if grid is None:
-        grid = np.concatenate(([0.0], default_frequency_grid()))
-
     def lam_min(w: float) -> float:
         den_val = M.den(1j * w)
         if abs(den_val) < 1e-10 * M.den.norm_inf * max(1.0, abs(w)) ** M.den.degree:
@@ -413,7 +412,7 @@ def check_pr_real_matrix(M: RealRationalMatrix2x2, grid: np.ndarray | None = Non
         b = M.im.num(1j * w) / den_val
         return 2.0 * (a.real - abs(b.imag))
 
-    w_min, v_min = _refined_minimum(lam_min, np.asarray(grid, dtype=float))
+    w_min, v_min = _refined_minimum(lam_min, FREQUENCY_GRID)
 
     # High-frequency limit matters only for biproper entries (strictly proper
     # responses roll off to zero, which never violates the closed condition).

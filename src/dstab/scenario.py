@@ -52,9 +52,9 @@ class Scenario:
     pinned_equilibrium: dev.Equilibrium | None
     y_s: list[list[float]] | None
     disturbance: DisturbanceSpec | None
-    t_end: float = 0.5
-    dt: float = 1e-4
-    band: float = 0.02
+    t_end: float
+    dt: float
+    band: float
     path: Path | None = None
     _network: AdmittanceMatrix | None = field(default=None, repr=False)
 
@@ -194,6 +194,10 @@ def load_scenario(path: str | Path, region: Region | None = None) -> Scenario:
             tuple(_finite(x, "equilibrium.u_star_volt entry") for x in u),
             tuple(_finite(x, "equilibrium.i_star_amp entry") for x in i),
         )
+        # Every device law divides by u*.
+        for k, u_k in enumerate(pinned.u_star):
+            if u_k <= 0:
+                raise ScenarioError(f"equilibrium.u_star_volt at node {k + 1} must be positive, got {u_k!r}")
 
     y_s = None
     if "y_s" in raw and raw["y_s"] is not None:
@@ -221,10 +225,12 @@ def load_scenario(path: str | Path, region: Region | None = None) -> Scenario:
                 magnitude=_num(d, "magnitude", "disturbance"),
                 start=_num(d, "start_s", "disturbance"),
                 duration=_num(d, "duration_s", "disturbance"),
-                shape=str(d.get("shape", "pulse")),
             )
         except ValueError as exc:
             raise ScenarioError(f"bad disturbance: {exc}") from exc
+        shape = str(d.get("shape", "pulse"))
+        if shape != "pulse":
+            raise ScenarioError(f"bad disturbance: unsupported disturbance shape {shape!r}")
 
     sim_block = raw.get("simulation") or {}
     if not isinstance(sim_block, dict):

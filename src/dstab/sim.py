@@ -31,13 +31,10 @@ class DisturbanceSpec:
     magnitude: float
     start: float
     duration: float
-    shape: str = "pulse"
 
     def __post_init__(self) -> None:
         if self.duration <= 0:
             raise ValueError(f"disturbance duration must be positive, got {self.duration}")
-        if self.shape != "pulse":
-            raise ValueError(f"unsupported disturbance shape {self.shape!r}")
 
 
 @dataclass(frozen=True)
@@ -56,7 +53,7 @@ class Trajectory:
         object.__setattr__(self, "du", du)
 
 
-def simulate(m: SystemModel, d: DisturbanceSpec, t_end: float = 0.5, dt: float = 1e-4) -> Trajectory:
+def simulate(m: SystemModel, d: DisturbanceSpec, t_end: float, dt: float) -> Trajectory:
     """Integrate the disturbed closed-loop model over [0, t_end].
 
     Warns (without aborting) when RK4 at step ``dt`` amplifies a decaying
@@ -177,7 +174,7 @@ def simulate(m: SystemModel, d: DisturbanceSpec, t_end: float = 0.5, dt: float =
     return Trajectory(t, du)
 
 
-def metrics(tr: Trajectory, band: float = 0.02) -> dict[str, float]:
+def metrics(tr: Trajectory, band: float) -> dict[str, float]:
     """Settling time (last exit from the +-band*peak tube), peak deviation,
     and the dominant oscillation frequency of the most-deviated node."""
     du = tr.du

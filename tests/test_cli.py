@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -12,7 +15,8 @@ import pytest
 
 from dstab.cli import dumps, main
 
-DATA = Path(__file__).resolve().parent.parent / "src" / "dstab" / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
+DATA = SRC / "dstab" / "data"
 TOY = str(DATA / "toy3.json")
 THREE_PARTS = '[{"kind":"lhp","alpha":-2},{"kind":"sector","beta":1.4},{"kind":"hstrip","gamma":300}]'
 GENERIC_HALFPLANE = '{"kind":"halfplane","theta0":0.3,"omega0":0,"sigma0":-1}'
@@ -278,7 +282,7 @@ class TestInputContract:
 
     @pytest.mark.parametrize("command", ["check", "poles", "simulate"])
     def test_nan_equilibrium_residual_exits_2(self, capsys, tmp_path, command):
-        # With P = 0 and u* = 0 the load residual is 0/0, and NaN > 1e-6 is False.
+        # With P = 0 and u* = 0 the load residual would be 0/0; the loader rejects u* = 0 first.
         def zero_load(raw):
             raw["devices"][2]["P_watt"] = 0.0
             raw["equilibrium"] = {"u_star_volt": [0.0, 0.0, 0.0], "i_star_amp": [0.0, 0.0, 0.0]}
@@ -287,6 +291,31 @@ class TestInputContract:
         code, out, err = run(capsys, command, str(path))
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "input" and "equilibrium" in err
+
+    @pytest.mark.parametrize("voltages", [[0.0, 0.0, 0.0], [105.0, 105.0, -100.0]], ids=["zero", "negative"])
+    @pytest.mark.parametrize("command", ["check", "poles", "simulate"])
+    def test_nonpositive_pinned_voltage_prints_one_error_object(self, tmp_path, voltages, command):
+        # In a fresh interpreter, so that a numpy warning would reach stderr.
+        def pin(raw):
+            raw["devices"][2]["P_watt"] = 0.0
+            raw["equilibrium"] = {"u_star_volt": voltages, "i_star_amp": [0.0, 0.0, 0.0]}
+
+        path = toy_variant(tmp_path, pin)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-m", "dstab.cli", command, str(path)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 2 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "input"
+        assert f"node {voltages.index(min(voltages)) + 1}" in error["message"]
+
+    def test_disturbance_shape_other_than_pulse_exits_2(self, capsys, tmp_path):
+        path = toy_variant(tmp_path, lambda raw: raw["disturbance"].update(shape="step"))
+        code, _, err = run(capsys, "simulate", str(path))
+        assert code == 2
+        assert json.loads(err) == {"error": "input", "message": "bad disturbance: unsupported disturbance shape 'step'"}
 
     def test_unexpected_error_exits_3(self, capsys, monkeypatch):
         import dstab.cli as cli

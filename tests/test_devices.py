@@ -12,7 +12,7 @@ from conftest import assert_rational_close, random_source_coeffs
 from dstab import devices as dev
 from dstab.cpoly import CRational, feedback, roots, rotate, substitute_affine
 from dstab.errors import ConvergenceError
-from dstab.network import NodePartition, build_admittance, grid_code
+from dstab.network import NodePartition, build_admittance, grid_code, virtual_admittance_from_conductance
 from dstab.positivity import check_positive_siso
 from dstab.regions import HalfPlaneRegion, horizontal_strip, sector, shifted_lhp
 
@@ -100,14 +100,15 @@ class TestCpl:
 class TestVirtualAdmittance:
     def test_clhp_equals_conductance(self):
         p = dev.CplParams(C_l=2e-3, P=1500.0)
-        assert dev.virtual_admittance(p, 100.0, shifted_lhp(0.0)) == pytest.approx(0.15)
+        y_l = dev.cpl_conductance(p, 100.0)
+        assert virtual_admittance_from_conductance(p.C_l, y_l, shifted_lhp(0.0)) == pytest.approx(0.15)
 
     def test_shifted_lhp_value(self):
-        assert dev.virtual_admittance_from_conductance(2e-3, 0.15, shifted_lhp(-8.0)) == pytest.approx(0.166)
+        assert virtual_admittance_from_conductance(2e-3, 0.15, shifted_lhp(-8.0)) == pytest.approx(0.166)
 
     def test_strip_gives_negative_value(self):
         gamma = 10.0
-        y_v = dev.virtual_admittance_from_conductance(2e-3, 0.15, horizontal_strip(gamma))
+        y_v = virtual_admittance_from_conductance(2e-3, 0.15, horizontal_strip(gamma))
         assert y_v == pytest.approx(-2e-3 * gamma)
 
 
@@ -135,7 +136,7 @@ class TestModifiedCpl:
             region = HalfPlaneRegion(
                 float(rng.uniform(0, math.pi / 2)), float(rng.uniform(0, 40)), -float(rng.uniform(0, 5))
             )
-            y_v = dev.virtual_admittance(p, u_star, region)
+            y_v = virtual_admittance_from_conductance(p.C_l, dev.cpl_conductance(p, u_star), region)
             a = cmath.exp(1j * region.theta0)
             b = a * region.sigma0 + 1j * region.omega0
             via_loop = feedback(rotate(substitute_affine(dev.cpl_tf(p, u_star), a, b), region.theta0), y_v)

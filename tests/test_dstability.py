@@ -126,7 +126,7 @@ class TestCertifyDecentralized:
     def test_integrators_certified_on_clhp(self):
         report = certify_thm1(pair_model())
         assert report.certified and report.network_ok
-        assert all(r.is_positive for r in report.device_reports)
+        assert all(r.is_positive for r in report.parts[0].device_reports)
 
     def test_unmodified_cpl_blocks_certification(self, star_system):
         Y, buck, cpl, u_star, subsystems, load_cy = star_system

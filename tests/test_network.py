@@ -143,6 +143,15 @@ class TestSchur:
         with pytest.raises(LLAssumptionError):
             schur_xi(star3, 0.0, [25.0])
 
+    @pytest.mark.parametrize("y_v, exhausted", [(20.0, True), (20.0 - 5e-13, True), (20.0 - 2e-12, False)])
+    def test_damping_band_boundary(self, star3, y_v, exhausted):
+        # At theta0 = 0 the load block is 20 - y_v; the assumption needs it above 1e-12 * max(1, |20 - y_v|).
+        if exhausted:
+            with pytest.raises(LLAssumptionError, match="lambda_min"):
+                schur_xi(star3, 0.0, [y_v])
+        else:
+            assert np.all(np.isfinite(schur_xi(star3, 0.0, [y_v])))
+
     @pytest.mark.parametrize("angle", ["zero", "right", "uniform"])
     def test_matches_block_formula(self, rng, angle):
         # Xi = c Yss - c^2 Ysl (c Yll - diag y_v)^{-1} Yls, from the separate blocks of Y

@@ -9,7 +9,11 @@ command but ``simulate`` on variants that reach paths the shipped scenarios
 miss (see ``VARIANTS``): ``toy3`` with its synthesized ``y_s`` pinned, a
 three-part ``--region``, a region that fails the network damping assumption,
 ``ieee39_default`` under a single sector and ``toy3`` under a tilted
-half-plane, a region without a closed-form synthesis bound.  It writes
+half-plane, a region without a closed-form synthesis bound.  Every shipped
+scenario pins its equilibrium, so the tool also runs every command but
+``simulate`` on the seed-1 meshes of 64 and 200 nodes from
+``bench/meshgen.py`` (see ``MESHES``), which resolve their operating point by
+Newton power flow.  It writes
 
 * ``<scenario>.<command>.out`` -- the command's stdout,
 * ``<scenario>.csv`` and ``<scenario>.metrics.json`` -- ``simulate --out``,
@@ -36,6 +40,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 DATA = SRC / "dstab" / "data"
+sys.path.insert(0, str(ROOT / "bench"))
+
+import meshgen  # noqa: E402
 
 SCENARIOS = ("toy3", "ieee39_default", "ieee39_synthesized")
 COMMANDS = (
@@ -58,6 +65,8 @@ VARIANTS = {
     "ieee39_default-sector": ("ieee39_default", ["--region", '{"kind":"sector","beta":1.308996938996}']),
     "toy3-halfplane": ("toy3", ["--region", '{"kind":"halfplane","theta0":0.3,"omega0":0,"sigma0":-1}']),
 }
+# label -> (nodes, seed) of a bench/meshgen.py mesh
+MESHES = {"mesh-n64-s1": (64, 1), "mesh-n200-s1": (200, 1)}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -91,6 +100,11 @@ def main(argv: list[str] | None = None) -> int:
             for label, args in COMMANDS:
                 if label != "simulate":
                     run(variant, label, args, scenario, extra)
+        for variant, (n, seed) in MESHES.items():
+            scenario = meshgen.write_scenario(meshgen.mesh_scenario(n, seed), Path(tmp) / f"{variant}.json")
+            for label, args in COMMANDS:
+                if label != "simulate":
+                    run(variant, label, args, scenario, [])
 
     (outdir / "exit_codes.txt").write_text("".join(codes))
     sys.stdout.write("".join(codes))
