@@ -388,7 +388,10 @@ def equilibrium_solve(
 class ComplianceReport:
     """Outcome of checking one source device against a grid code;
     ``function`` is the loop-transformed function whose positivity
-    ``positivity`` reports."""
+    ``positivity`` reports.  A broadcast the device cannot act on (a failed
+    damping assumption, binding ``ll_assumption``, or a part without a
+    closed-form synthesis bound, binding ``region_family``) is reported by
+    its binding condition alone."""
 
     compliant: bool
     region_kind: str
@@ -401,6 +404,8 @@ class ComplianceReport:
     function: CRational | None = None
 
     def as_dict(self) -> dict:
+        if self.binding in ("ll_assumption", "region_family"):
+            return {"compliant": False, "binding": self.binding}
         return {
             "compliant": self.compliant,
             "region_kind": self.region_kind,
@@ -409,32 +414,21 @@ class ComplianceReport:
             "y_s_cap": self.y_s_cap,
             "gamma_bar": self.gamma_bar,
             "binding": self.binding,
-            "positivity": self.positivity.as_dict() if self.positivity else None,
         }
 
 
-def check_compliance(
-    device: GenericSecondOrder | SourceParams,
-    grid_code: GridCode,
-    u_star: float | None = None,
-) -> ComplianceReport:
-    """Decide whether the source admits an index y_s between the network
-    floor -lambda_min(Xi) and its region-specific upper bound, and pick the
-    maximum admissible one (positivity is monotone: anything below a working
-    index also works).
+def check_compliance(g: GenericSecondOrder, grid_code: GridCode) -> ComplianceReport:
+    """The device side of Theorem 2: from one source's coefficients and the
+    broadcast grid code alone, decide whether the source admits an index y_s
+    between the network floor -lambda_min(Xi) and its region-specific upper
+    bound, and pick the maximum admissible one (positivity is monotone:
+    anything below a working index also works).
     """
-    if not grid_code.ll_assumption_ok:
-        raise DstabError("grid code is invalid: network damping assumption violated")
-    if isinstance(device, GenericSecondOrder):
-        g = device
-    else:
-        if u_star is None and not isinstance(device, EssBuckParams):
-            raise ValueError("u_star is required to derive coefficients for this device")
-        g = source_coeffs(device, u_star if u_star is not None else 1.0)
-
     region = grid_code.region
     kind = family(region)
     floor = grid_code.bound
+    if not grid_code.ll_assumption_ok:
+        return ComplianceReport(False, kind, None, floor, None, None, "ll_assumption", None)
 
     if kind == "hstrip":
         gb = bound_hs(g)
@@ -453,7 +447,7 @@ def check_compliance(
         )
 
     if kind not in ("lhp", "sector"):
-        raise ValueError(f"no closed-form synthesis bound for region family {kind!r}")
+        return ComplianceReport(False, kind, None, floor, None, None, "region_family", None)
     cap = index_cap(g, region)
     if cap is None:
         return ComplianceReport(False, kind, None, floor, None, None, "region_feasibility", None)

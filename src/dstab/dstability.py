@@ -103,7 +103,6 @@ class CertificationReport:
     theorem: str
     parts: tuple[PartCertificate, ...]
     certified: bool
-    notes: tuple[str, ...] = ()
 
     @property
     def network_ok(self) -> bool:
@@ -125,7 +124,7 @@ class CertificationReport:
                 }
                 for p in self.parts
             ],
-            "notes": list(self.notes),
+            "notes": [],  # no report-level notes are made; the key keeps reports byte-stable
         }
 
 
@@ -181,7 +180,7 @@ def closed_loop_poles(m: SystemModel) -> list[complex]:
 
 def part_positivity(
     m: SystemModel, part: HalfPlaneRegion, part_index: int,
-    compliance: Sequence[ComplianceReport | None] | None = None,
+    compliance: Sequence[ComplianceReport] | None = None,
 ) -> list[tuple[CRational, PositivityReport]]:
     """Every subsystem mapped into the nu-plane of ``part``, rotated by its
     angle theta0 and closed through its loop-transform gain rho, with its
@@ -191,7 +190,7 @@ def part_positivity(
     decided = {
         k: (rep.function, rep.positivity)
         for k, rep, y in zip(m.network.partition.source_ids, compliance or (), m.y_s_for_part(part_index))
-        if rep is not None and rep.compliant and rep.y_s == y
+        if rep.compliant and rep.y_s == y
     }
     out = []
     for k, (g, rho) in enumerate(zip(m.subsystems, m.part_rho(part, part_index))):
@@ -204,7 +203,7 @@ def part_positivity(
 
 def _certify_part(
     m: SystemModel, part: HalfPlaneRegion, part_index: int, *, theorem: str,
-    grid_code: GridCode | None, compliance: Sequence[ComplianceReport | None] | None,
+    grid_code: GridCode | None, compliance: Sequence[ComplianceReport] | None,
 ) -> PartCertificate:
     notes: list[str] = []
     y_s = m.y_s_for_part(part_index)
@@ -241,7 +240,7 @@ def _certify_part(
 
 def _certify(
     m: SystemModel, theorem: str, codes: list[GridCode] | None,
-    compliance: Sequence[Sequence[ComplianceReport | None]] | None,
+    compliance: Sequence[Sequence[ComplianceReport]] | None,
 ) -> CertificationReport:
     certs = [
         _certify_part(m, part, idx, theorem=theorem, grid_code=codes[idx] if codes else None,
@@ -252,7 +251,7 @@ def _certify(
 
 
 def certify_thm1(
-    m: SystemModel, compliance: Sequence[Sequence[ComplianceReport | None]] | None = None,
+    m: SystemModel, compliance: Sequence[Sequence[ComplianceReport]] | None = None,
 ) -> CertificationReport:
     """Decentralized certificate: rotated-network semidefiniteness plus local
     positivity of every mapped, rotated, loop-transformed subsystem, verified
@@ -264,7 +263,7 @@ def certify_thm1(
 
 def certify_thm2(
     m: SystemModel, grid_codes: list[GridCode],
-    compliance: Sequence[Sequence[ComplianceReport | None]] | None = None,
+    compliance: Sequence[Sequence[ComplianceReport]] | None = None,
 ) -> CertificationReport:
     """Grid-code certificate: every source index above the broadcast floor
     plus positivity of the modified sources and loads; ``compliance`` as in

@@ -178,32 +178,32 @@ def virtual_admittance_from_conductance(c_l: float, y_l: float, region: HalfPlan
 def schur_xi(Y: AdmittanceMatrix, theta0: float, y_virtual: list[float] | np.ndarray) -> np.ndarray:
     """Schur complement Xi = M_ss - M_sl M_ll^{-1} M_ls on the source block of
     the :func:`network_matrix` M whose gains are the virtual admittances on
-    the loads and 0 on the sources.
+    the loads and 0 on the sources, formed from its three blocks
+    M_ll = cos(theta0) Y^ll - diag(y_virtual), M_ls = cos(theta0) Y^ls and
+    M_ss = cos(theta0) Y^ss.
 
-    One symmetric eigendecomposition M_ll = V diag(lam) V^T of the load block
-    Y^ll cos(theta0) - diag(y_virtual) serves twice.  Its eigenvalues decide
-    the damping assumption: the block must be positive definite, and
-    lambda_min <= 1e-12 max(1, max |lam|) raises :class:`LLAssumptionError`
-    (the network's damping capacity is exhausted and no source-side index can
-    restore it); a Cholesky factor would instead leave the verdict on a
-    near-singular block to rounding.  Its factors give Xi = M_ss - W^T W with
-    W = diag(lam)^{-1/2} V^T M_ls, symmetric by construction.
+    One symmetric eigendecomposition M_ll = V diag(lam) V^T serves twice.  Its
+    eigenvalues decide the damping assumption: the block must be positive
+    definite, and lambda_min <= 1e-12 max(1, max |lam|) raises
+    :class:`LLAssumptionError` (the network's damping capacity is exhausted
+    and no source-side index can restore it); a Cholesky factor would instead
+    leave the verdict on a near-singular block to rounding.  Its factors give
+    Xi = M_ss - W^T W with W = diag(lam)^{-1/2} V^T M_ls, symmetric by
+    construction.
     """
     y_v = np.asarray(y_virtual, dtype=float)
     src, ld = Y.partition.source_ids, Y.partition.load_ids
     if y_v.shape != (len(ld),):
         raise NetworkError(f"expected {len(ld)} virtual admittances, got shape {y_v.shape}")
-    d = np.zeros(Y.n_nodes)
-    d[list(ld)] = y_v
-    m = network_matrix(Y, theta0, d)
-    lam, v = np.linalg.eigh(m[np.ix_(ld, ld)])
+    c = math.cos(theta0)
+    lam, v = np.linalg.eigh(c * Y.Y[np.ix_(ld, ld)] - np.diag(y_v))
     scale = max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
     if lam.size and float(lam[0]) <= 1e-12 * scale:
         raise LLAssumptionError(
             f"Y^ll cos(theta0) - diag(y_v) is not positive definite (lambda_min = {float(lam[0]):.6e})"
         )
-    w = (v.T @ m[np.ix_(ld, src)]) / np.sqrt(lam)[:, None]
-    return m[np.ix_(src, src)] - w.T @ w
+    w = (v.T @ (c * Y.Y[np.ix_(ld, src)])) / np.sqrt(lam)[:, None]
+    return c * Y.Y[np.ix_(src, src)] - w.T @ w
 
 
 def grid_code(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from . import devices as dev
 from .errors import ScenarioError
 from .network import AdmittanceMatrix, GridCode, NodePartition, build_admittance, grid_code
-from .regions import Region, family, parts, region_from_spec
+from .regions import Region, parts, region_from_spec
 from .sim import DisturbanceSpec
 from .dstability import SystemModel
 
@@ -55,14 +55,7 @@ class Scenario:
     t_end: float
     dt: float
     band: float
-    path: Path | None = None
-    _network: AdmittanceMatrix | None = field(default=None, repr=False)
-
-    @property
-    def network(self) -> AdmittanceMatrix:
-        if self._network is None:
-            self._network = build_admittance(self.edges, self.n_nodes, self.partition)
-        return self._network
+    network: AdmittanceMatrix
 
 
 def _need(obj: dict, key: str, where: str):
@@ -249,7 +242,7 @@ def load_scenario(path: str | Path, region: Region | None = None) -> Scenario:
             f"simulation.t_end_s ({t_end!r}) must exceed the end of the disturbance pulse "
             f"({disturbance.start + disturbance.duration!r})"
         )
-    scenario = Scenario(
+    return Scenario(
         name=str(raw.get("name", path.stem)),
         nominal_voltage=_num(raw, "nominal_voltage_volt", "scenario"),
         n_nodes=n_nodes,
@@ -263,10 +256,8 @@ def load_scenario(path: str | Path, region: Region | None = None) -> Scenario:
         t_end=t_end,
         dt=dt,
         band=band,
-        path=path,
+        network=build_admittance(edges, n_nodes, partition),  # validates connectivity
     )
-    scenario.network  # force topology validation (connectivity, Laplacian)
-    return scenario
 
 
 def resolve_equilibrium(sc: Scenario) -> dev.Equilibrium:
@@ -275,7 +266,8 @@ def resolve_equilibrium(sc: Scenario) -> dev.Equilibrium:
     if sc.pinned_equilibrium is not None:
         eq = sc.pinned_equilibrium
         u = np.array(eq.u_star)
-        worst = float(np.max(np.abs(dev.power_flow_residual(sc.network, sc.devices, u))))
+        with np.errstate(all="ignore"):  # an overflow to inf fails the test below
+            worst = float(np.max(np.abs(dev.power_flow_residual(sc.network, sc.devices, u))))
         if not worst <= 1e-6:  # a NaN residual fails too
             raise ScenarioError(f"pinned equilibrium violates the power-flow equations (residual {worst:.3e})")
         i = sc.network.Y @ u
@@ -296,9 +288,15 @@ def load_pairs(sc: Scenario, eq: dev.Equilibrium) -> tuple[tuple[float, float], 
 
 
 def source_coefficients(sc: Scenario, eq: dev.Equilibrium) -> tuple[dev.GenericSecondOrder, ...]:
-    return tuple(
-        dev.source_coeffs(sc.devices[k], eq.u_star[k]) for k in sc.partition.source_ids
-    )
+    """Each source's model at its operating voltage, in partition order: the
+    one place a source's parameters become its generic second-order form."""
+    out = []
+    for k in sc.partition.source_ids:
+        try:
+            out.append(dev.source_coeffs(sc.devices[k], eq.u_star[k]))
+        except ValueError as exc:
+            raise ScenarioError(f"invalid source model at node {k + 1}: {exc}") from exc
+    return tuple(out)
 
 
 def build_model(sc: Scenario, eq: dev.Equilibrium | None = None) -> SystemModel:
@@ -306,8 +304,8 @@ def build_model(sc: Scenario, eq: dev.Equilibrium | None = None) -> SystemModel:
     (``eq``, resolved here when not given)."""
     eq = eq or resolve_equilibrium(sc)
     subsystems: list = [None] * sc.n_nodes
-    for k in sc.partition.source_ids:
-        subsystems[k] = dev.source_coeffs(sc.devices[k], eq.u_star[k]).tf
+    for k, g in zip(sc.partition.source_ids, source_coefficients(sc, eq)):
+        subsystems[k] = g.tf
     for k in sc.partition.load_ids:
         subsystems[k] = dev.cpl_tf(sc.devices[k], eq.u_star[k])
     return SystemModel(
@@ -328,28 +326,24 @@ def grid_codes(sc: Scenario, eq: dev.Equilibrium | None = None) -> list[GridCode
 
 def compliance(
     sc: Scenario, eq: dev.Equilibrium, codes: list[GridCode],
-) -> list[list[dev.ComplianceReport | None]]:
-    """Each source checked against each part's grid code from its own model
-    at its own operating voltage; None where the code's damping assumption
-    fails or the part's family has no closed-form synthesis bound."""
+) -> list[list[dev.ComplianceReport]]:
+    """The device side run by every source on every part's broadcast: each
+    source's own model at its own operating voltage and the grid code,
+    nothing else."""
     coeffs = source_coefficients(sc, eq)
-    return [
-        [dev.check_compliance(g, code) for g in coeffs]
-        if code.ll_assumption_ok and family(code.region) != "generic" else [None] * len(coeffs)
-        for code in codes
-    ]
+    return [[dev.check_compliance(g, code) for g in coeffs] for code in codes]
 
 
-def chosen_indices(reports: list[list[dev.ComplianceReport | None]]) -> tuple[tuple[float, ...], ...]:
+def chosen_indices(reports: list[list[dev.ComplianceReport]]) -> tuple[tuple[float, ...], ...]:
     """The y_s table of a :func:`compliance` result: the chosen index per part
     and source.  Non-compliant devices report index 0; certification then
     fails on the network or device condition instead of propagating NaN."""
-    return tuple(tuple(r.y_s if r is not None and r.compliant else 0.0 for r in row) for row in reports)
+    return tuple(tuple(r.y_s if r.compliant else 0.0 for r in row) for row in reports)
 
 
 def indexed_model(
     sc: Scenario, eq: dev.Equilibrium, codes: list[GridCode] | None = None,
-) -> tuple[SystemModel, list[list[dev.ComplianceReport | None]] | None]:
+) -> tuple[SystemModel, list[list[dev.ComplianceReport]] | None]:
     """The model at ``eq`` with the source indices that ``check`` certifies:
     the pinned y_s table, else each source's synthesized index against the
     grid codes ``codes`` (built here when not given).  Returns the
@@ -371,18 +365,10 @@ def synthesize(
     eq = eq or resolve_equilibrium(sc)
     codes = codes or grid_codes(sc, eq)
     reports = compliance(sc, eq, codes)
-    part_entries = []
-    for code, row in zip(codes, reports):
-        entries = []
-        for k, report in zip(sc.partition.source_ids, row):
-            if report is None:
-                binding = "ll_assumption" if not code.ll_assumption_ok else "region_family"
-                entries.append({"node": k + 1, "compliant": False, "binding": binding})
-                continue
-            entry = {"node": k + 1, **report.as_dict()}
-            del entry["positivity"]
-            entries.append(entry)
-        part_entries.append(entries)
+    part_entries = [
+        [{"node": k + 1, **report.as_dict()} for k, report in zip(sc.partition.source_ids, row)]
+        for row in reports
+    ]
     return {
         "grid_codes": [c.as_dict() for c in codes],
         "parts": part_entries,

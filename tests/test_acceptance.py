@@ -44,7 +44,7 @@ from dstab.positivity import (
     check_pr_real_matrix,
     complex_routh_hurwitz_quadratic,
 )
-from dstab.regions import HalfPlaneRegion, horizontal_strip, map_to_nu, sector, shifted_lhp
+from dstab.regions import HalfPlaneRegion, horizontal_strip, map_to_nu, parts, sector, shifted_lhp
 from dstab.scenario import build_model, grid_codes, load_scenario, synthesize
 from dstab.sim import metrics, simulate
 
@@ -161,6 +161,34 @@ def test_criterion_1_soundness_sweep(rng):
     assert not counterexamples, f"certified system violated the region: worst={counterexamples[0][1]}"
     assert witnesses >= 1, "sweep produced no certificate-fails-but-region-holds witness"
     assert elapsed < 60
+
+
+def test_criterion_1_grid_code_soundness_sweep(rng):
+    # Theorem 2 on criterion 1's draws, with each part's grid code built from
+    # the draw's loads alone.  A grid-code certificate must be sound against
+    # the oracle, and it implies the Theorem-1 certificate: with the load
+    # block positive definite, Haynsworth inertia additivity makes
+    # Xi + diag(y_s) >= 0 the network condition of Theorem 1.
+    start = time.monotonic()
+    draws = certified = 0
+    violations = []
+    attempts = 0
+    while certified < 300 and attempts < 5000:
+        attempts += 1
+        m = _draw_system(rng)
+        if m is None or m.load_cy is None:
+            continue
+        draws += 1
+        codes = [grid_code(m.network, part, list(m.load_cy)) for part in parts(m.region)]
+        if certify_thm2(m, codes).certified:
+            certified += 1
+            if not verify_region(m)[0] or not certify_thm1(m).certified:
+                violations.append(m)
+    elapsed = time.monotonic() - start
+    detail = f"{draws} draws with loads, {certified} certified, {len(violations)} violations, {elapsed:.1f} s"
+    _report("1 (grid-code certificate soundness)", certified >= 300 and not violations, detail)
+    assert certified >= 300
+    assert not violations, "a grid-code certificate failed the oracle or Theorem 1"
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dstab.cli import dumps, main
 
@@ -311,6 +316,39 @@ class TestInputContract:
         assert error["error"] == "input"
         assert f"node {voltages.index(min(voltages)) + 1}" in error["message"]
 
+    @pytest.mark.parametrize("command", ["check", "poles", "simulate"])
+    def test_huge_pinned_voltage_prints_one_error_object(self, tmp_path, command):
+        # The residual overflows to inf; no numpy warning may precede the error object.
+        path = toy_variant(tmp_path, lambda raw: raw["equilibrium"].update(u_star_volt=[1e308] * 3))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-m", "dstab.cli", command, str(path)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 2 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "input"
+
+    @pytest.mark.parametrize("command", [["check", "--theorem", "1"], ["check", "--theorem", "2"], ["poles"],
+                                         ["gridcode"], ["synthesize"], ["positivity"], ["simulate"]],
+                             ids=["check1", "check2", "poles", "gridcode", "synthesize", "positivity", "simulate"])
+    def test_invalid_source_model_names_its_node(self, capsys, tmp_path, command):
+        # A huge capacitance underflows c1 to 0, which no source model admits.
+        # The grid code reads no source model and is still broadcast.
+        path = toy_variant(tmp_path, lambda raw: raw["devices"][0].update(C_farad=1e308))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*command, str(path)])
+        out, err = capsys.readouterr()
+        assert not caught
+        if command == ["gridcode"]:
+            assert code == 0 and err == ""
+            return
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "input" and "node 1" in error["message"]
+
     def test_disturbance_shape_other_than_pulse_exits_2(self, capsys, tmp_path):
         path = toy_variant(tmp_path, lambda raw: raw["disturbance"].update(shape="step"))
         code, _, err = run(capsys, "simulate", str(path))
@@ -327,6 +365,54 @@ class TestInputContract:
         code, out, err = run(capsys, "poles", TOY)
         assert code == 3 and out == ""
         assert json.loads(err) == {"error": "internal", "message": "RuntimeError: boom"}
+
+
+def _numeric_leaves(tree, path=()):
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield from _numeric_leaves(value, (*path, key))
+    elif isinstance(tree, list):
+        for index, value in enumerate(tree):
+            yield from _numeric_leaves(value, (*path, index))
+    elif isinstance(tree, (int, float)) and not isinstance(tree, bool):
+        yield path
+
+
+TOY_RAW = json.loads(Path(TOY).read_text())
+TOY_LEAVES = list(_numeric_leaves(TOY_RAW))
+EXTREMES = [0, 1e-300, -1e-300, 1e308, -1e308, 1e12, -1e12, -1, 0.5, math.nan, math.inf, -math.inf]
+FUZZ_COMMANDS = [["check", "--theorem", "1"], ["check", "--theorem", "2"], ["poles"], ["gridcode"],
+                 ["synthesize"], ["positivity"]]
+
+
+class TestFuzzedInput:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(edits=st.lists(st.tuples(st.sampled_from(TOY_LEAVES), st.sampled_from(EXTREMES)), min_size=1, max_size=3),
+           command=st.sampled_from(FUZZ_COMMANDS))
+    def test_every_input_ends_in_its_exit_code(self, edits, command):
+        raw = json.loads(json.dumps(TOY_RAW))
+        for path, value in edits:
+            node = raw
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        text = json.dumps(raw)  # non-finite numbers become NaN, Infinity, -Infinity
+        finite = "NaN" not in text and "Infinity" not in text
+        with tempfile.TemporaryDirectory() as tmp:
+            scenario = Path(tmp) / "fuzzed.json"
+            scenario.write_text(text)
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main([*command, str(scenario)])
+        assert code in (0, 1, 2, 3)
+        lines = err.getvalue().splitlines()
+        assert len(lines) <= 1
+        if lines:
+            assert json.loads(lines[0])["error"] != "internal"
+        assert not caught, [str(w.message) for w in caught]
+        assert finite or code in (2, 3)
 
 
 class TestSynthesize:

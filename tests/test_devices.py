@@ -358,19 +358,35 @@ class TestCompliance:
         assert not rep.compliant and rep.binding == "frequency_bound"
 
     def test_devices_accepted_with_u_star(self):
+        # A device with a voltage-dependent model complies at its own u*.
         gc = self._setup(shifted_lhp(-2.0))
-        rep = dev.check_compliance(BOOST, gc, u_star=101.0)
+        rep = dev.check_compliance(dev.source_coeffs(BOOST, 101.0), gc)
+        assert rep.as_dict() == dev.check_compliance(dev.coeffs_ess_boost(BOOST, 101.0), gc).as_dict()
         assert isinstance(rep.compliant, bool)
-        with pytest.raises(ValueError):
-            dev.check_compliance(BOOST, gc)
 
     def test_invalid_grid_code_rejected(self):
+        # A broadcast whose damping assumption fails is rejected by a
+        # report, not an exception, and the failed assumption binds.
         part = NodePartition((0, 1), (2,))
         Y = build_admittance([(0, 2, 0.1), (1, 2, 0.1)], 3, part)
         gc = grid_code(Y, shifted_lhp(0.0), [(2e-3, 25.0)])
         assert not gc.ll_assumption_ok
-        with pytest.raises(Exception):
-            dev.check_compliance(dev.coeffs_ess_buck(BUCK), gc)
+        rep = dev.check_compliance(dev.coeffs_ess_buck(BUCK), gc)
+        assert not rep.compliant and rep.binding == "ll_assumption"
+        assert rep.y_s is None and rep.positivity is None
+        assert rep.as_dict() == {"compliant": False, "binding": "ll_assumption"}
+
+    def test_region_without_closed_form_bound_binds_its_family(self):
+        gc = self._setup(HalfPlaneRegion(theta0=0.3, omega0=0.0, sigma0=-1.0))
+        assert gc.ll_assumption_ok
+        rep = dev.check_compliance(dev.coeffs_ess_buck(BUCK), gc)
+        assert rep.region_kind == "generic" and rep.binding == "region_family"
+        assert rep.as_dict() == {"compliant": False, "binding": "region_family"}
+
+    def test_failed_damping_binds_before_the_region_family(self):
+        gc = self._setup(HalfPlaneRegion(theta0=0.3, omega0=0.0, sigma0=-20000.0))
+        assert not gc.ll_assumption_ok
+        assert dev.check_compliance(dev.coeffs_ess_buck(BUCK), gc).binding == "ll_assumption"
 
 
 class TestBoundTightness:

@@ -118,8 +118,8 @@ def broadcast_codes(Y: AdmittanceMatrix, blocks: list[dict], eq: dev.Equilibrium
 
 def failing_parts(block: dict, codes: list[GridCode], u_star: float) -> list[str]:
     """Region parts whose grid code the device in ``block`` does not comply with."""
-    device = params_from_block(block)
-    return [family(c.region) for c in codes if not dev.check_compliance(device, c, u_star).compliant]
+    g = dev.source_coeffs(params_from_block(block), u_star)
+    return [family(c.region) for c in codes if not dev.check_compliance(g, c).compliant]
 
 
 def synthesize_boost(node: int, eq: dev.Equilibrium, codes: list[GridCode]) -> dict:

@@ -8,8 +8,10 @@ runs ``poles``, ``gridcode``, ``check --theorem 1``, ``check --theorem 2``,
 command but ``simulate`` on variants that reach paths the shipped scenarios
 miss (see ``VARIANTS``): ``toy3`` with its synthesized ``y_s`` pinned, a
 three-part ``--region``, a region that fails the network damping assumption,
-``ieee39_default`` under a single sector and ``toy3`` under a tilted
-half-plane, a region without a closed-form synthesis bound.  Every shipped
+``ieee39_default`` under a single sector, ``toy3`` under a tilted
+half-plane, a region without a closed-form synthesis bound, and a tilted
+half-plane that also fails the damping assumption, where the damping verdict
+must name the binding condition.  Every shipped
 scenario pins its equilibrium, so the tool also runs every command but
 ``simulate`` on the seed-1 meshes of 64 and 200 nodes from
 ``bench/meshgen.py`` (see ``MESHES``), which resolve their operating point by
@@ -64,6 +66,7 @@ VARIANTS = {
     "toy3-failed-damping": ("toy3", ["--region", '{"kind":"lhp","alpha":-20000}']),
     "ieee39_default-sector": ("ieee39_default", ["--region", '{"kind":"sector","beta":1.308996938996}']),
     "toy3-halfplane": ("toy3", ["--region", '{"kind":"halfplane","theta0":0.3,"omega0":0,"sigma0":-1}']),
+    "toy3-failed-damping-halfplane": ("toy3", ["--region", '{"kind":"halfplane","theta0":0.3,"omega0":0,"sigma0":-20000}']),
 }
 # label -> (nodes, seed) of a bench/meshgen.py mesh
 MESHES = {"mesh-n64-s1": (64, 1), "mesh-n200-s1": (200, 1)}
