@@ -4,9 +4,12 @@
 its denominator monic.  No pole-zero cancellation is ever performed
 implicitly -- cancellation can silently hide unstable hidden modes.
 
-``roots`` takes the eigenvalues of the companion matrix (``numpy.roots``),
-a backward-stable root finder (Edelman & Murakami, Math. Comp. 64(210),
-1995); tests cross-check it against a real 2n x 2n embedding.
+``roots_rows`` takes the eigenvalues of the companion matrices that
+``numpy.roots`` builds, a backward-stable root finder (Edelman & Murakami,
+Math. Comp. 64(210), 1995), for a whole stack of polynomials of one degree
+in one ``eigvals`` call; ``roots`` is its one-row call.  Tests cross-check
+it against a real 2n x 2n embedding.  Rows of coefficients are ascending,
+like ``CPoly.coeffs``, and a row's result depends on that row alone.
 """
 
 from __future__ import annotations
@@ -129,34 +132,107 @@ class CPoly:
         return CPoly(tuple(complex(c.real) for c in self.coeffs))
 
 
-def roots(p: CPoly) -> list[complex]:
-    """All roots of ``p`` with multiplicity: companion-matrix eigenvalues.
+def norms_and_degrees(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The max-norm and the degree of every row of ascending coefficients,
+    the degree under the trim rule of :class:`CPoly` (-1 for a zero row)."""
+    mag = np.abs(c)
+    norm = np.maximum.reduce(mag, axis=1)
+    keep = mag > TRIM_TOL * norm[:, None]
+    return norm, np.maximum.reduce(keep * np.arange(1, c.shape[1] + 1), axis=1) - 1
 
-    ``numpy.roots`` gets real coefficients when every imaginary part is
-    exactly zero, and complex ones otherwise.  The real eigensolver returns
-    exact conjugate pairs, whose tied real parts leave their order to the
-    imaginary part.
-    Postcondition: every root satisfies the backward-stable residual bound
-    |p(root)| < 1e-8 * sum_k |c_k| max(1, |root|)^k (raises
-    :class:`RootFindingError` otherwise, as for a failed eigensolver).
-    Roots are sorted by real part, then imaginary part.
-    """
-    if p.is_zero:
-        raise RootFindingError("zero polynomial has no well-defined root set")
-    c = np.array(p.coeffs[::-1], dtype=complex)
-    if not np.all(np.isfinite(c)):
-        raise RootFindingError("polynomial has non-finite coefficients")
+
+def degrees(c: np.ndarray) -> np.ndarray:
+    """The degree of every row of ascending coefficients under the trim rule
+    of :class:`CPoly`; -1 for a zero row."""
+    return norms_and_degrees(c)[1]
+
+
+def polyval_rows(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Horner evaluation of row i of ``c`` at the points ``z[i, ...]``."""
+    c = c.reshape(c.shape + (1,) * (z.ndim - 1))
+    acc = 0j * z + c[:, -1]
+    for j in range(c.shape[1] - 2, -1, -1):
+        acc = acc * z + c[:, j]
+    return acc
+
+
+def _companion_eigvals(p: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the companion matrix of every row of ``p`` (descending,
+    nonzero leading and trailing coefficients), built as ``numpy.roots``
+    builds it; a 1 x 1 companion matrix is its own eigenvalue."""
+    k, m = p.shape[0], p.shape[1] - 1
+    if m == 1:
+        return -p[:, 1:] / p[:, :1]
+    a = np.zeros((k, m, m), dtype=p.dtype)
+    sub = np.arange(m - 1)
+    a[:, sub + 1, sub] = 1.0
+    a[:, 0, :] = -p[:, 1:] / p[:, :1]
     try:
-        found = [complex(r) for r in np.roots(c if c.imag.any() else c.real)]
+        return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise RootFindingError(f"companion eigensolver failed: {exc}") from exc
-    worst = 0.0
-    for r in found:
-        scale = sum(abs(ck) * max(1.0, abs(r)) ** k for k, ck in enumerate(p.coeffs))
-        worst = max(worst, abs(p(r)) / max(scale, 1e-300))
-    if worst > 1e-8:
-        raise RootFindingError(f"root residual {worst:.3e} exceeds 1.0e-08")
-    return sorted(found, key=lambda z: (z.real, z.imag))
+
+
+def companion_roots(c: np.ndarray) -> np.ndarray:
+    """:func:`roots_rows` of complex rows already known to be finite with
+    nonzero leading coefficients."""
+    k, n = c.shape[0], c.shape[1] - 1
+    if n == 0:
+        return np.zeros((k, 0), dtype=complex)
+    real = ~c.imag.any(axis=1)
+    # numpy.roots returns exactly-zero low-order coefficients as roots at
+    # zero, after the eigenvalues of the rest.
+    found = np.zeros((k, n), dtype=complex)
+    low_zeros = (c == 0).argmin(axis=1)
+    for z in set(low_zeros.tolist()) - {n}:
+        for rows, real_rows in (((low_zeros == z) & real, True), ((low_zeros == z) & ~real, False)):
+            if rows.any():
+                p = c[rows, z:][:, ::-1]
+                found[rows, : n - z] = _companion_eigvals(p.real if real_rows else p)
+    mag, reach = np.abs(c), np.maximum(np.abs(found), 1.0)
+    scale = mag[:, n, None]
+    for j in range(n - 1, -1, -1):
+        scale = scale * reach + mag[:, j, None]
+    residual = np.abs(polyval_rows(c, found)) / np.maximum(scale, 1e-300)
+    if (residual > 1e-8).any():
+        raise RootFindingError(f"root residual {residual[residual > 1e-8].max():.3e} exceeds 1.0e-08")
+    if n == 1:
+        return found
+    return found[np.arange(k)[:, None], np.lexsort((found.imag, found.real))]
+
+
+def roots_rows(c: np.ndarray) -> np.ndarray:
+    """All roots of every row of ``c`` (k, n + 1), ascending coefficients of
+    one degree n: companion-matrix eigenvalues, shape (k, n).
+
+    Each row goes through the companion matrix that ``numpy.roots`` builds
+    for it, with one ``eigvals`` call for the rows with real coefficients
+    (every imaginary part exactly zero) and one for the others; the real
+    eigensolver returns exact conjugate pairs, whose tied real parts leave
+    their order to the imaginary part.  Exactly-zero low-order coefficients
+    are roots at zero, as ``numpy.roots`` returns them.
+    Postcondition: every root satisfies the backward-stable residual bound
+    |p(root)| < 1e-8 * sum_k |c_k| max(1, |root|)^k (raises
+    :class:`RootFindingError` otherwise, as for a failed eigensolver, a zero
+    row or a non-finite coefficient).  Each row's roots are sorted by real
+    part, then imaginary part.  Call it under ``np.errstate`` where huge
+    coefficients may overflow the residual.
+    """
+    c = np.asarray(c, dtype=complex)
+    if not np.isfinite(c).all():
+        raise RootFindingError("polynomial has non-finite coefficients")
+    if c.shape[1] < 1 or not c[:, -1].all():
+        raise RootFindingError("zero polynomial has no well-defined root set")
+    return companion_roots(c)
+
+
+def roots(p: CPoly) -> list[complex]:
+    """All roots of ``p`` with multiplicity, sorted by real part, then
+    imaginary part: the one-row call of :func:`roots_rows`."""
+    if p.is_zero:
+        raise RootFindingError("zero polynomial has no well-defined root set")
+    with np.errstate(all="ignore"):
+        return roots_rows(np.array([p.coeffs], dtype=complex))[0].tolist()
 
 
 def cluster_roots(values: list[complex], rel_tol: float = CLUSTER_TOL) -> list[tuple[complex, int]]:
@@ -206,6 +282,29 @@ class CRational:
         if abs(d) < 1e-12 * scale:
             raise PoleEvaluationError(f"evaluation at z = {z} is within tolerance of a pole")
         return self.num(z) / d
+
+
+def rationals_from_rows(num: np.ndarray, den: np.ndarray) -> list[CRational]:
+    """The functions num[i] / den[i] of coefficient rows that already obey
+    the trim rule, trimmed coefficients zeroed, with monic denominators:
+    built by dropping the zero padding, without trimming or scaling again."""
+    out = []
+    for n, d in zip(num.tolist(), den.tolist()):
+        while len(n) > 1 and n[-1] == 0:
+            n.pop()
+        while len(d) > 1 and d[-1] == 0:
+            d.pop()
+        r = object.__new__(CRational)
+        object.__setattr__(r, "num", _kept(tuple(n)))
+        object.__setattr__(r, "den", _kept(tuple(d)))
+        out.append(r)
+    return out
+
+
+def _kept(coeffs: tuple[complex, ...]) -> CPoly:
+    p = object.__new__(CPoly)
+    object.__setattr__(p, "coeffs", coeffs)
+    return p
 
 
 def substitute_affine(r: CRational, a: complex, b: complex) -> CRational:

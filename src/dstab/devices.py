@@ -9,6 +9,9 @@ This module maps physical parameters onto those coefficient forms, builds
 the region-rotated and loop-transformed devices, computes the closed-form
 synthesis bounds for the three region families, solves the DC power flow for
 the operating point, and checks per-device compliance against a grid code.
+Loop transforms and compliance work on whole fleets: coefficient rows go
+through one batched numpy pass (``loop_transform_rows``,
+``loop_positivity``), and a row's result depends on that row alone.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
 
-from .cpoly import CRational, feedback, rotate, substitute_affine
-from .errors import ConvergenceError, DstabError, NetworkError
-from .positivity import PositivityReport, check_positive_siso
+from .cpoly import CRational, degrees, rationals_from_rows
+from .errors import ConvergenceError, DegenerateLoopError, DstabError, NetworkError
+from .positivity import PositivityReport, check_positive_rows, check_positive_siso
 from .regions import HalfPlaneRegion, family
 
 if TYPE_CHECKING:
@@ -239,19 +242,83 @@ def modified_cpl(p: CplParams, u_star: float, region: HalfPlaneRegion) -> CRatio
     return result
 
 
-def map_subsystem(tf: CRational, region: HalfPlaneRegion) -> CRational:
-    """Map an s-domain subsystem into the nu-domain and rotate by e^{j theta0}."""
+def _monic(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows scaled by the reciprocal of each denominator's leading
+    coefficient, which becomes exactly 1, with the coefficients that
+    :class:`CPoly` trims zeroed, as :class:`CRational` keeps them."""
+    deg = degrees(den)
+    if (deg < 0).any():
+        raise DegenerateLoopError("closed loop denominator is identically zero")
+    rows = np.arange(len(den))
+    inv = (1.0 / den[rows, deg])[:, None]
+    den = den * inv
+    den[rows, deg] = 1.0
+    den[deg[:, None] < np.arange(den.shape[1])] = 0.0
+    num = num * inv
+    num[degrees(num)[:, None] < np.arange(num.shape[1])] = 0.0
+    return num, den
+
+
+def _compose_rows(c: np.ndarray, a: complex, b: complex) -> np.ndarray:
+    """Every row's polynomial p(a*x + b): row i of ``c`` times the binomial
+    matrix T[j, k] = C(j, k) a^k b^(j - k)."""
+    width = c.shape[1]
+    a_pow, b_pow = [1 + 0j], [1 + 0j]
+    for _ in range(width - 1):
+        # Products, not powers: a huge b overflows to inf instead of raising.
+        a_pow.append(a_pow[-1] * a)
+        b_pow.append(b_pow[-1] * b)
+    t = np.zeros((width, width), dtype=complex)
+    for j in range(width):
+        for k in range(j + 1):
+            t[j, k] = math.comb(j, k) * a_pow[k] * b_pow[j - k]
+    acc = c[:, :1] * t[0]
+    for j in range(1, width):
+        acc = acc + c[:, j : j + 1] * t[j]
+    return acc
+
+
+def loop_transform_rows(
+    num: np.ndarray, den: np.ndarray, region: HalfPlaneRegion, rho: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every subsystem num[i] / den[i] mapped into the nu-plane of
+    ``region`` by s = e^{j theta0} (nu + sigma0) + j omega0, rotated by
+    e^{j theta0} and closed through its loop-transform gain:
+    [1 + rho[i] g_hat]^{-1} g_hat.  A source with index y_s has rho = -y_s,
+    a load its virtual admittance; rho = 0 leaves g_hat open.
+
+    Rows hold ascending coefficients with monic denominators, zero-padded
+    to one width per array.  Returns rows of that form, trimmed as
+    :class:`CRational` keeps them; row i depends on row i alone."""
+    if num.shape[1] > den.shape[1]:
+        den = np.pad(den, ((0, 0), (0, num.shape[1] - den.shape[1])))
     a = cmath.exp(1j * region.theta0)
-    b = cmath.exp(1j * region.theta0) * region.sigma0 + 1j * region.omega0
-    return rotate(substitute_affine(tf, a, b), region.theta0)
+    b = a * region.sigma0 + 1j * region.omega0
+    with np.errstate(all="ignore"):
+        num = _compose_rows(np.asarray(num, dtype=complex), a, b) * a
+        den = _compose_rows(np.asarray(den, dtype=complex), a, b)
+        den[:, : num.shape[1]] += np.asarray(rho, dtype=float)[:, None] * num
+        return _monic(num, den)
 
 
 def loop_transform(tf: CRational, region: HalfPlaneRegion, rho: float) -> CRational:
-    """The subsystem mapped and rotated for ``region`` and closed through its
-    loop-transform gain: [1 + rho g_hat]^{-1} g_hat.  A source with index y_s
-    has rho = -y_s, a load its virtual admittance; rho = 0 leaves g_hat open."""
-    g_hat = map_subsystem(tf, region)
-    return feedback(g_hat, rho) if rho != 0 else g_hat
+    """One subsystem through :func:`loop_transform_rows`."""
+    num, den = loop_transform_rows(np.array([tf.num.coeffs]), np.array([tf.den.coeffs]), region, np.array([rho]))
+    return rationals_from_rows(num, den)[0]
+
+
+def map_subsystem(tf: CRational, region: HalfPlaneRegion) -> CRational:
+    """Map an s-domain subsystem into the nu-domain and rotate by e^{j theta0}."""
+    return loop_transform(tf, region, 0.0)
+
+
+def loop_positivity(
+    num: np.ndarray, den: np.ndarray, region: HalfPlaneRegion, rho: np.ndarray,
+) -> list[tuple[CRational, PositivityReport]]:
+    """Each row's loop-transformed function (:func:`loop_transform_rows`)
+    with its positivity report, decided in one batched pass."""
+    num, den = loop_transform_rows(num, den, region, rho)
+    return list(zip(rationals_from_rows(num, den), check_positive_rows(num, den)))
 
 
 def bound_lhp(g: GenericSecondOrder, alpha: float) -> tuple[bool, float]:
@@ -417,58 +484,79 @@ class ComplianceReport:
         }
 
 
-def check_compliance(g: GenericSecondOrder, grid_code: GridCode) -> ComplianceReport:
-    """The device side of Theorem 2: from one source's coefficients and the
-    broadcast grid code alone, decide whether the source admits an index y_s
-    between the network floor -lambda_min(Xi) and its region-specific upper
-    bound, and pick the maximum admissible one (positivity is monotone:
-    anything below a working index also works).
+def _fleet_positivity(
+    fleet: Sequence[GenericSecondOrder], region: HalfPlaneRegion, picks: dict[int, float],
+) -> dict[int, tuple[CRational, PositivityReport]]:
+    """Source i of ``fleet`` loop-transformed at index ``picks[i]``, with its
+    positivity report, for every picked source in one batched pass."""
+    if not picks:
+        return {}
+    chosen = [fleet[i] for i in picks]
+    num = np.array([(g.c0, g.c1) for g in chosen], dtype=complex)
+    den = np.array([(g.d0, g.d1, 1.0) for g in chosen], dtype=complex)
+    return dict(zip(picks, loop_positivity(num, den, region, -np.array(list(picks.values())))))
+
+
+def check_compliance(fleet: Sequence[GenericSecondOrder], grid_code: GridCode) -> list[ComplianceReport]:
+    """The device side of Theorem 2: from each source's own coefficients and
+    the broadcast grid code alone, decide whether the source admits an index
+    y_s between the network floor -lambda_min(Xi) and its region-specific
+    upper bound, and pick the maximum admissible one (positivity is
+    monotone: anything below a working index also works).
+
+    Every index is picked from the closed-form caps and all picks are
+    decided in one batched pass; a pick that fails positivity is retried,
+    in a second pass, at an index backed off by max(1e-9, 1e-6 |y|).  Each
+    source's report depends on its own coefficients and the broadcast only.
     """
     region = grid_code.region
     kind = family(region)
     floor = grid_code.bound
     if not grid_code.ll_assumption_ok:
-        return ComplianceReport(False, kind, None, floor, None, None, "ll_assumption", None)
+        return [ComplianceReport(False, kind, None, floor, None, None, "ll_assumption", None) for _ in fleet]
 
     if kind == "hstrip":
-        gb = bound_hs(g)
-        ok = region.omega0 > gb and grid_code.admits(0.0)
-        g_tilde = loop_transform(g.tf, region, 0.0) if ok else None
-        return ComplianceReport(
-            compliant=ok,
-            region_kind=kind,
-            y_s=0.0 if ok else None,
-            y_s_floor=floor,
-            y_s_cap=None,
-            gamma_bar=gb,
-            binding="none" if ok else "frequency_bound",
-            positivity=check_positive_siso(g_tilde) if ok else None,
-            function=g_tilde,
-        )
+        bars = [bound_hs(g) for g in fleet]
+        decided = _fleet_positivity(fleet, region, {
+            i: 0.0 for i, gb in enumerate(bars) if region.omega0 > gb and grid_code.admits(0.0)
+        })
+        return [
+            ComplianceReport(True, kind, 0.0, floor, None, gb, "none", decided[i][1], decided[i][0]) if i in decided
+            else ComplianceReport(False, kind, None, floor, None, gb, "frequency_bound", None, None)
+            for i, gb in enumerate(bars)
+        ]
 
     if kind not in ("lhp", "sector"):
-        return ComplianceReport(False, kind, None, floor, None, None, "region_family", None)
-    cap = index_cap(g, region)
-    if cap is None:
-        return ComplianceReport(False, kind, None, floor, None, None, "region_feasibility", None)
-    # The first LHP bound is attainable; the LHP stability bound and the
-    # sector bound are strict.
-    strict_cap = kind == "sector" or cap < (g.d1 + region.sigma0 - g.c0 / g.c1) / g.c1
+        return [ComplianceReport(False, kind, None, floor, None, None, "region_family", None) for _ in fleet]
+    reports: list[ComplianceReport | None] = [None] * len(fleet)
+    caps: dict[int, float] = {}
+    picks: dict[int, float] = {}
+    for i, g in enumerate(fleet):
+        cap = index_cap(g, region)
+        if cap is None:
+            reports[i] = ComplianceReport(False, kind, None, floor, None, None, "region_feasibility", None)
+            continue
+        caps[i] = cap
+        # The first LHP bound is attainable; the LHP stability bound and the
+        # sector bound are strict.
+        strict_cap = kind == "sector" or cap < (g.d1 + region.sigma0 - g.c0 / g.c1) / g.c1
+        if not math.isfinite(cap) and cap < 0:
+            reports[i] = ComplianceReport(False, kind, None, floor, cap, None, "device", None)
+            continue
+        pick = cap - 1e-9 * max(1.0, abs(cap)) if strict_cap else cap
+        if not grid_code.admits(pick):
+            reports[i] = ComplianceReport(False, kind, None, floor, cap, None, "network", None)
+            continue
+        picks[i] = pick
 
-    if not math.isfinite(cap) and cap < 0:
-        return ComplianceReport(False, kind, None, floor, cap, None, "device", None)
-    pick = cap - 1e-9 * max(1.0, abs(cap)) if strict_cap else cap
-    if not grid_code.admits(pick):
-        return ComplianceReport(False, kind, None, floor, cap, None, "network", None)
-
-    g_tilde = loop_transform(g.tf, region, -pick)
-    report = check_positive_siso(g_tilde)
-    if not report.is_positive:
-        backed = pick - max(1e-9, 1e-6 * abs(pick))
-        if grid_code.admits(backed):
-            g_backed = loop_transform(g.tf, region, -backed)
-            retry = check_positive_siso(g_backed)
-            if retry.is_positive:
-                return ComplianceReport(True, kind, backed, floor, cap, None, "none", retry, g_backed)
-        return ComplianceReport(False, kind, None, floor, cap, None, "device", report, g_tilde)
-    return ComplianceReport(True, kind, pick, floor, cap, None, "none", report, g_tilde)
+    first = _fleet_positivity(fleet, region, picks)
+    backed = {i: y - max(1e-9, 1e-6 * abs(y)) for i, y in picks.items() if not first[i][1].is_positive}
+    retry = _fleet_positivity(fleet, region, {i: y for i, y in backed.items() if grid_code.admits(y)})
+    for i, (function, report) in first.items():
+        if report.is_positive:
+            reports[i] = ComplianceReport(True, kind, picks[i], floor, caps[i], None, "none", report, function)
+        elif i in retry and retry[i][1].is_positive:
+            reports[i] = ComplianceReport(True, kind, backed[i], floor, caps[i], None, "none", retry[i][1], retry[i][0])
+        else:
+            reports[i] = ComplianceReport(False, kind, None, floor, caps[i], None, "device", report, function)
+    return reports  # type: ignore[return-value]

@@ -19,12 +19,12 @@ from typing import Sequence
 import numpy as np
 
 from .cpoly import CRational
-from .devices import ComplianceReport, GenericSecondOrder, index_cap, loop_transform
+from .devices import ComplianceReport, GenericSecondOrder, index_cap, loop_positivity
 from .errors import NonProperError
 from .network import (
     AdmittanceMatrix, GridCode, check_rotated_psd, network_matrix, virtual_admittance_from_conductance,
 )
-from .positivity import PositivityReport, check_positive_siso
+from .positivity import PositivityReport
 from .regions import HalfPlaneRegion, Region, parts, region_to_spec
 
 
@@ -178,6 +178,12 @@ def closed_loop_poles(m: SystemModel) -> list[complex]:
     return sorted(cleaned, key=lambda z: (z.real, z.imag))
 
 
+def _padded(coeffs: list[tuple[complex, ...]]) -> np.ndarray:
+    """Coefficient tuples as rows zero-padded to the widest."""
+    width = max(map(len, coeffs))
+    return np.array([c + (0j,) * (width - len(c)) for c in coeffs])
+
+
 def part_positivity(
     m: SystemModel, part: HalfPlaneRegion, part_index: int,
     compliance: Sequence[ComplianceReport] | None = None,
@@ -186,19 +192,20 @@ def part_positivity(
     angle theta0 and closed through its loop-transform gain rho, with its
     positivity report.  A source whose report in ``compliance`` (one part's,
     per source) chose the index it carries here lends its function and
-    report: the same function, built by the same loop_transform."""
+    report: the same function, built by the same loop transform.  The other
+    subsystems are decided in one batched pass, their rows zero-padded to
+    one width."""
     decided = {
         k: (rep.function, rep.positivity)
         for k, rep, y in zip(m.network.partition.source_ids, compliance or (), m.y_s_for_part(part_index))
         if rep.compliant and rep.y_s == y
     }
-    out = []
-    for k, (g, rho) in enumerate(zip(m.subsystems, m.part_rho(part, part_index))):
-        if k not in decided:
-            g_tilde = loop_transform(g, part, rho)
-            decided[k] = (g_tilde, check_positive_siso(g_tilde))
-        out.append(decided[k])
-    return out
+    nodes = [k for k in range(len(m.subsystems)) if k not in decided]
+    if nodes:
+        num = _padded([m.subsystems[k].num.coeffs for k in nodes])
+        den = _padded([m.subsystems[k].den.coeffs for k in nodes])
+        decided.update(zip(nodes, loop_positivity(num, den, part, m.part_rho(part, part_index)[nodes])))
+    return [decided[k] for k in range(len(m.subsystems))]
 
 
 def _certify_part(

@@ -329,9 +329,9 @@ def compliance(
 ) -> list[list[dev.ComplianceReport]]:
     """The device side run by every source on every part's broadcast: each
     source's own model at its own operating voltage and the grid code,
-    nothing else."""
+    nothing else; one batched :func:`devices.check_compliance` per part."""
     coeffs = source_coefficients(sc, eq)
-    return [[dev.check_compliance(g, code) for g in coeffs] for code in codes]
+    return [dev.check_compliance(coeffs, code) for code in codes]
 
 
 def chosen_indices(reports: list[list[dev.ComplianceReport]]) -> tuple[tuple[float, ...], ...]:

@@ -250,6 +250,26 @@ def test_criterion_3_second_order_cross_validation(rng):
         prop_checked += 1
         if rep.is_positive != exact.is_positive:
             prop_mismatches += 1
+    # Sources at the attainable first LHP bound, where synthesis puts them:
+    # there the w^2 coefficient of N(w) vanishes analytically and its
+    # computed value is rounding residue of either sign.
+    at_cap = 0
+    while at_cap < 40:
+        g = random_source_coeffs(rng)
+        alpha = -float(rng.uniform(0.0, 4.0))
+        feasible, cap = dev.bound_lhp(g, alpha)
+        if not feasible or cap != (g.d1 + alpha - g.c0 / g.c1) / g.c1:
+            continue
+        at_cap += 1
+        h = dev.loop_transform(g.tf, shifted_lhp(alpha), -cap)
+        (a0, a1), (b0, b1, _) = h.num.coeffs, h.den.coeffs
+        rep = check_positive_second_order(a1, a0, b1, b0)
+        exact = check_positive_siso(h)
+        if abs(rep.margin) < 1e-7 or abs(exact.margin) < 1e-7:
+            continue
+        prop_checked += 1
+        if rep.is_positive != exact.is_positive:
+            prop_mismatches += 1
     elapsed = time.monotonic() - start
     detail = (
         f"RH mismatches {rh_mismatches}/500, coefficient-test mismatches "

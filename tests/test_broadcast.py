@@ -69,7 +69,7 @@ def test_printed_broadcast_gives_the_in_memory_verdicts(capsys, tmp_path, case):
     for entry, row in zip(printed, in_memory):
         broadcast = parse_broadcast(entry)
         for k, expected in zip(sc.partition.source_ids, row):
-            rep = dev.check_compliance(dev.source_coeffs(sc.devices[k], eq.u_star[k]), broadcast)
+            rep = dev.check_compliance([dev.source_coeffs(sc.devices[k], eq.u_star[k])], broadcast)[0]
             assert (rep.compliant, rep.binding) == (expected.compliant, expected.binding), f"node {k + 1}"
             if expected.y_s is None:
                 assert rep.y_s is None

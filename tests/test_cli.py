@@ -182,17 +182,16 @@ class TestCheck:
     def test_one_positivity_check_per_node_and_part(self, capsys, monkeypatch, theorem, name, expected):
         # Without pinned y_s, check synthesizes the indices; the certifier
         # reuses each compliant source's check, so every node and part is
-        # checked once (39 nodes x 3 parts on the ieee39 grids).
+        # decided once (39 nodes x 3 parts on the ieee39 grids).  Rows are
+        # decided in batches; count the rows, not the calls.
         import dstab.devices as dev
-        import dstab.dstability as dst
 
-        calls = []
-        check = dst.check_positive_siso
-        for module in (dev, dst):
-            monkeypatch.setattr(module, "check_positive_siso", lambda *a, **k: calls.append(1) or check(*a, **k))
+        rows = []
+        check = dev.check_positive_rows
+        monkeypatch.setattr(dev, "check_positive_rows", lambda num, den: rows.append(len(num)) or check(num, den))
         code, _, _ = run(capsys, "check", str(DATA / f"{name}.json"), "--theorem", theorem)
         assert code in (0, 1)
-        assert len(calls) == expected
+        assert sum(rows) == expected
 
     @pytest.mark.parametrize("name, source", [("toy3", 0), ("toy3", 1), ("ieee39_synthesized", 0)])
     def test_source_results_need_no_other_source_model(self, capsys, tmp_path, name, source):
@@ -380,6 +379,10 @@ def _numeric_leaves(tree, path=()):
 
 TOY_RAW = json.loads(Path(TOY).read_text())
 TOY_LEAVES = list(_numeric_leaves(TOY_RAW))
+# The operating point, droop resistances and capacitances divide the device
+# laws; the fuzz draws each of them six times as often as another leaf.
+DIVISOR_LEAVES = [path for path in TOY_LEAVES if path[0] == "equilibrium" or path[-1] in ("R_d_ohm", "C_farad")]
+FUZZ_LEAVES = DIVISOR_LEAVES * 5 + TOY_LEAVES
 EXTREMES = [0, 1e-300, -1e-300, 1e308, -1e308, 1e12, -1e12, -1, 0.5, math.nan, math.inf, -math.inf]
 FUZZ_COMMANDS = [["check", "--theorem", "1"], ["check", "--theorem", "2"], ["poles"], ["gridcode"],
                  ["synthesize"], ["positivity"]]
@@ -387,7 +390,7 @@ FUZZ_COMMANDS = [["check", "--theorem", "1"], ["check", "--theorem", "2"], ["pol
 
 class TestFuzzedInput:
     @settings(derandomize=True, max_examples=100, deadline=None)
-    @given(edits=st.lists(st.tuples(st.sampled_from(TOY_LEAVES), st.sampled_from(EXTREMES)), min_size=1, max_size=3),
+    @given(edits=st.lists(st.tuples(st.sampled_from(FUZZ_LEAVES), st.sampled_from(EXTREMES)), min_size=1, max_size=3),
            command=st.sampled_from(FUZZ_COMMANDS))
     def test_every_input_ends_in_its_exit_code(self, edits, command):
         raw = json.loads(json.dumps(TOY_RAW))
@@ -434,7 +437,7 @@ class TestSynthesize:
         _, out, _ = run(capsys, "synthesize", TOY)
         payload = json.loads(out)
         for pos, entry in enumerate(payload["parts"][0]):
-            rep = dev.check_compliance(coeffs[pos], code)
+            rep = dev.check_compliance([coeffs[pos]], code)[0]
             assert entry["compliant"] == rep.compliant
             assert entry["y_s"] == pytest.approx(rep.y_s)
 
@@ -532,20 +535,18 @@ class TestPositivityCmd:
     def test_reports_the_indices_check_certifies(self, capsys, monkeypatch, tmp_path, name):
         # Without a pinned y_s both commands build each source at its
         # synthesized index, and positivity reuses each compliant source's
-        # check, so every node and part is checked once; with a pinned y_s,
-        # both use the pinned index.
+        # check, so every node and part is decided once (rows counted over
+        # the batched calls); with a pinned y_s, both use the pinned index.
         import dstab.devices as dev
-        import dstab.dstability as dst
 
         if name == "toy3-pinned":
             path = str(toy_variant(tmp_path, lambda raw: raw.update(y_s=[[0.1, 0.2]])))
         else:
             path = str(DATA / f"{name}.json")
-        calls = []
-        check = dst.check_positive_siso
+        rows = []
+        check = dev.check_positive_rows
         with monkeypatch.context() as patch:
-            for module in (dev, dst):
-                patch.setattr(module, "check_positive_siso", lambda *a, **k: calls.append(1) or check(*a, **k))
+            patch.setattr(dev, "check_positive_rows", lambda num, den: rows.append(len(num)) or check(num, den))
             code_pos, pos, _ = run(capsys, "positivity", path)
         _, cert, _ = run(capsys, "check", path, "--theorem", "1")
         cert_parts = json.loads(cert)["parts"]
@@ -558,7 +559,7 @@ class TestPositivityCmd:
             assert reports == c["devices"]
             all_positive = all_positive and all(d["is_positive"] for d in reports)
         assert code_pos == (0 if all_positive else 1)
-        assert len(calls) == sum(len(p["devices"]) for p in pos_parts)
+        assert sum(rows) == sum(len(p["devices"]) for p in pos_parts)
 
     @pytest.mark.parametrize("command", [["positivity"], ["check", "--theorem", "1"], ["check", "--theorem", "2"]])
     def test_region_without_closed_form_bound_gives_a_verdict(self, capsys, command):
@@ -597,20 +598,44 @@ def relabelled(raw: dict, perm: list[int]) -> dict:
     return out
 
 
+def pinned_mesh(n: int, seed: int, path: Path) -> dict:
+    """The seed's ``bench/meshgen.py`` mesh with its operating point pinned,
+    written to ``path``: a relabelled copy then shares the operating point
+    instead of solving its own power flow in another node order."""
+    from dstab.scenario import load_scenario, resolve_equilibrium
+
+    sys.path.insert(0, str(SRC.parent / "bench"))
+    import meshgen
+
+    raw = meshgen.mesh_scenario(n, seed)
+    eq = resolve_equilibrium(load_scenario(meshgen.write_scenario(raw, path)))
+    raw["equilibrium"] = {"u_star_volt": list(eq.u_star), "i_star_amp": list(eq.i_star)}
+    path.write_text(json.dumps(raw))
+    return raw
+
+
 class TestRelabelling:
     @pytest.mark.parametrize("theorem", ["1", "2"])
     @pytest.mark.parametrize("name, perm", [
         ("toy3", [3, 1, 2]),
         ("toy3", [2, 1, 3]),
         ("ieee39_synthesized", [int(k) + 1 for k in np.random.default_rng(0).permutation(39)]),
-    ], ids=["toy3-load-first", "toy3-sources-swapped", "ieee39_synthesized-random"])
+        ("mesh-n64-s1", [int(k) + 1 for k in np.random.default_rng(0).permutation(64)]),
+    ], ids=["toy3-load-first", "toy3-sources-swapped", "ieee39_synthesized-random", "mesh-n64-s1-random"])
     def test_check_is_invariant_under_node_relabelling(self, capsys, tmp_path, theorem, name, perm):
-        raw = json.loads((DATA / f"{name}.json").read_text())
+        # Batched decisions group nodes by shape, so node order must not
+        # matter to any node's report.
+        if name.startswith("mesh"):
+            original = tmp_path / "mesh.json"
+            raw = pinned_mesh(64, 1, original)
+        else:
+            original = DATA / f"{name}.json"
+            raw = json.loads(original.read_text())
         n = raw["topology"]["nodes"]
         path = tmp_path / "relabelled.json"
         path.write_text(json.dumps(relabelled(raw, perm)))
 
-        code, out, _ = run(capsys, "check", str(DATA / f"{name}.json"), "--theorem", theorem)
+        code, out, _ = run(capsys, "check", str(original), "--theorem", theorem)
         code_r, out_r, _ = run(capsys, "check", str(path), "--theorem", theorem)
         assert code_r == code
         report, report_r = json.loads(out), json.loads(out_r)
@@ -664,7 +689,7 @@ class TestNumericalFailure:
         def broken(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(cpoly.np, "roots", broken)
+        monkeypatch.setattr(cpoly.np.linalg, "eigvals", broken)
         code, out, err = run(capsys, "check", TOY)
         assert code == 3 and out == ""
         assert json.loads(err)["error"] == "numerical" and "Eigenvalues did not converge" in err

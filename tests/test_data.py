@@ -69,10 +69,10 @@ class TestIeee39Files:
             rung = KP_LADDER.index(b["kP_u"])
             device = tuned.devices[b["node"] - 1]
             u_star = eq.u_star[b["node"] - 1]
-            assert all(check_compliance(source_coeffs(device, u_star), code).compliant for code in codes)
+            assert all(check_compliance([source_coeffs(device, u_star)], code)[0].compliant for code in codes)
             if rung > 0:
                 lower = dataclasses.replace(device, kP_u=KP_LADDER[rung - 1])
-                assert not all(check_compliance(source_coeffs(lower, u_star), code).compliant for code in codes)
+                assert not all(check_compliance([source_coeffs(lower, u_star)], code)[0].compliant for code in codes)
         assert synthesize(tuned)["all_compliant"]
         buck = [b for b in raw["devices"] if b["type"] == "ess_buck"]
         assert all(b["kP_u"] == 0.38 and b["kI_u"] == 21.0 for b in buck)

@@ -13,7 +13,7 @@ from dstab import devices as dev
 from dstab.cpoly import CRational, feedback, roots, rotate, substitute_affine
 from dstab.errors import ConvergenceError
 from dstab.network import NodePartition, build_admittance, grid_code, virtual_admittance_from_conductance
-from dstab.positivity import check_positive_siso
+from dstab.positivity import FailedCondition, PositivityReport, check_positive_siso
 from dstab.regions import HalfPlaneRegion, horizontal_strip, sector, shifted_lhp
 
 BOOST = dev.EssBoostParams(C=2e-3, E=50.0, U_r=105.0, R_d=0.6, kP_u=0.01, kI_u=60.0)
@@ -329,7 +329,7 @@ class TestCompliance:
     def test_feasible_interval_picks_cap(self):
         gc = self._setup(shifted_lhp(-2.0))
         g = dev.coeffs_ess_buck(dev.EssBuckParams(C=3e-3, E=200.0, U_r=105.0, R_d=0.7, kP_u=0.38, kI_u=21.0))
-        rep = dev.check_compliance(g, gc)
+        rep = dev.check_compliance([g], gc)[0]
         assert rep.compliant
         assert rep.y_s == pytest.approx(rep.y_s_cap, rel=1e-6)
         assert rep.y_s >= rep.y_s_floor
@@ -341,27 +341,27 @@ class TestCompliance:
         g = dev.GenericSecondOrder(500.0, 1010.0, 4.0, 500.0)
         feasible, cap = dev.bound_lhp(g, -2.0)
         assert feasible and cap < gc.bound
-        rep = dev.check_compliance(g, gc)
+        rep = dev.check_compliance([g], gc)[0]
         assert not rep.compliant and rep.binding == "network"
 
     def test_strip_compliance(self):
         gc = self._setup(horizontal_strip(100.0))
         g = dev.coeffs_ess_buck(dev.EssBuckParams(C=3e-3, E=200.0, U_r=105.0, R_d=0.7, kP_u=0.38, kI_u=21.0))
-        rep = dev.check_compliance(g, gc)
+        rep = dev.check_compliance([g], gc)[0]
         assert rep.compliant == (dev.bound_hs(g) < 100.0)
         assert rep.y_s == 0.0
 
     def test_strip_frequency_binding(self):
         gc = self._setup(horizontal_strip(30.0))
         g = dev.coeffs_ess_buck(BUCK)  # stock gains: gamma_bar ~ 120
-        rep = dev.check_compliance(g, gc)
+        rep = dev.check_compliance([g], gc)[0]
         assert not rep.compliant and rep.binding == "frequency_bound"
 
     def test_devices_accepted_with_u_star(self):
         # A device with a voltage-dependent model complies at its own u*.
         gc = self._setup(shifted_lhp(-2.0))
-        rep = dev.check_compliance(dev.source_coeffs(BOOST, 101.0), gc)
-        assert rep.as_dict() == dev.check_compliance(dev.coeffs_ess_boost(BOOST, 101.0), gc).as_dict()
+        rep = dev.check_compliance([dev.source_coeffs(BOOST, 101.0)], gc)[0]
+        assert rep.as_dict() == dev.check_compliance([dev.coeffs_ess_boost(BOOST, 101.0)], gc)[0].as_dict()
         assert isinstance(rep.compliant, bool)
 
     def test_invalid_grid_code_rejected(self):
@@ -371,7 +371,7 @@ class TestCompliance:
         Y = build_admittance([(0, 2, 0.1), (1, 2, 0.1)], 3, part)
         gc = grid_code(Y, shifted_lhp(0.0), [(2e-3, 25.0)])
         assert not gc.ll_assumption_ok
-        rep = dev.check_compliance(dev.coeffs_ess_buck(BUCK), gc)
+        rep = dev.check_compliance([dev.coeffs_ess_buck(BUCK)], gc)[0]
         assert not rep.compliant and rep.binding == "ll_assumption"
         assert rep.y_s is None and rep.positivity is None
         assert rep.as_dict() == {"compliant": False, "binding": "ll_assumption"}
@@ -379,14 +379,56 @@ class TestCompliance:
     def test_region_without_closed_form_bound_binds_its_family(self):
         gc = self._setup(HalfPlaneRegion(theta0=0.3, omega0=0.0, sigma0=-1.0))
         assert gc.ll_assumption_ok
-        rep = dev.check_compliance(dev.coeffs_ess_buck(BUCK), gc)
+        rep = dev.check_compliance([dev.coeffs_ess_buck(BUCK)], gc)[0]
         assert rep.region_kind == "generic" and rep.binding == "region_family"
         assert rep.as_dict() == {"compliant": False, "binding": "region_family"}
+
+    def _failing_decisions(self, monkeypatch, failing: int) -> list[list[float]]:
+        """Make the first ``failing`` batched decisions report every row as a
+        real-part failure; returns the indices y_s = -rho of every batch."""
+        decide = dev.loop_positivity
+        batches = []
+
+        def faulty(num, den, region, rho):
+            batches.append([-r for r in rho.tolist()])
+            out = decide(num, den, region, rho)
+            if len(batches) > failing:
+                return out
+            return [(f, PositivityReport(False, FailedCondition.REAL_PART, ((0j, -1 + 0j),), -1.0)) for f, _ in out]
+
+        monkeypatch.setattr(dev, "loop_positivity", faulty)
+        return batches
+
+    def test_failed_pick_is_retried_at_the_backed_off_index(self, monkeypatch):
+        gc = self._setup(shifted_lhp(-2.0))
+        g = dev.coeffs_ess_buck(dev.EssBuckParams(C=3e-3, E=200.0, U_r=105.0, R_d=0.7, kP_u=0.38, kI_u=21.0))
+        pick = dev.check_compliance([g], gc)[0].y_s
+        backed = pick - max(1e-9, 1e-6 * abs(pick))
+        batches = self._failing_decisions(monkeypatch, 1)
+        rep = dev.check_compliance([g], gc)[0]
+        assert batches == [[pick], [backed]]
+        assert rep.compliant and rep.binding == "none"
+        assert rep.y_s == backed
+        retried = dev.loop_transform(g.tf, gc.region, -backed)
+        assert rep.positivity == check_positive_siso(retried) and rep.positivity.is_positive
+        assert rep.function == retried
+
+    def test_failed_retry_reports_the_pick(self, monkeypatch):
+        gc = self._setup(shifted_lhp(-2.0))
+        g = dev.coeffs_ess_buck(dev.EssBuckParams(C=3e-3, E=200.0, U_r=105.0, R_d=0.7, kP_u=0.38, kI_u=21.0))
+        pick = dev.check_compliance([g], gc)[0].y_s
+        batches = self._failing_decisions(monkeypatch, 2)
+        rep = dev.check_compliance([g], gc)[0]
+        assert len(batches) == 2
+        assert not rep.compliant and rep.binding == "device" and rep.y_s is None
+        assert rep.positivity.failed_condition is FailedCondition.REAL_PART
+        assert rep.positivity.witnesses == ((0j, -1 + 0j),)
+        assert rep.function == dev.loop_transform(g.tf, gc.region, -pick)
 
     def test_failed_damping_binds_before_the_region_family(self):
         gc = self._setup(HalfPlaneRegion(theta0=0.3, omega0=0.0, sigma0=-20000.0))
         assert not gc.ll_assumption_ok
-        assert dev.check_compliance(dev.coeffs_ess_buck(BUCK), gc).binding == "ll_assumption"
+        assert dev.check_compliance([dev.coeffs_ess_buck(BUCK)], gc)[0].binding == "ll_assumption"
 
 
 class TestBoundTightness:

@@ -140,7 +140,7 @@ class TestCertifyDecentralized:
         Y, buck, cpl, u_star, subsystems, load_cy = star_system
         region = shifted_lhp(-2.0)
         gc = grid_code(Y, region, [load_cy[0]])
-        comp = dev.check_compliance(buck, gc)
+        comp = dev.check_compliance([buck], gc)[0]
         assert comp.compliant
         m = SystemModel(subsystems, Y, region, load_cy=load_cy, y_s=((comp.y_s, comp.y_s),))
         report = certify_thm1(m)
@@ -154,7 +154,7 @@ class TestCertifyDecentralized:
         codes = [grid_code(Y, part, [load_cy[0]]) for part in region.parts]
         y_rows = []
         for code in codes:
-            comp = dev.check_compliance(buck, code)
+            comp = dev.check_compliance([buck], code)[0]
             assert comp.compliant
             y_rows.append((comp.y_s, comp.y_s))
         m = SystemModel(subsystems, Y, region, load_cy=load_cy, y_s=tuple(y_rows))
@@ -170,7 +170,7 @@ class TestCertifyGridCode:
         Y, buck, cpl, u_star, subsystems, load_cy = star_system
         region = shifted_lhp(-2.0)
         gc = grid_code(Y, region, [load_cy[0]])
-        comp = dev.check_compliance(buck, gc)
+        comp = dev.check_compliance([buck], gc)[0]
         m = SystemModel(subsystems, Y, region, load_cy=load_cy)
         report = certify_thm2(dataclasses.replace(m, y_s=((comp.y_s, comp.y_s),)), [gc])
         assert report.certified
@@ -218,7 +218,7 @@ class TestCertifyGridCode:
         Y, buck, cpl, u_star, subsystems, load_cy = star_system
         for region in (shifted_lhp(-2.0), sector(1.2)):
             gc = grid_code(Y, region, [load_cy[0]])
-            comp = dev.check_compliance(buck, gc)
+            comp = dev.check_compliance([buck], gc)[0]
             if not comp.compliant:
                 continue
             m = SystemModel(subsystems, Y, region, load_cy=load_cy, y_s=((comp.y_s, comp.y_s),))

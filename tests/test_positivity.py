@@ -136,6 +136,24 @@ class TestSecondOrder:
         assert not rep.is_positive
         assert rep.failed_condition is FailedCondition.REAL_PART
 
+    def test_tiny_positive_leading_coefficient_with_live_slope(self):
+        # N(w) = quad_a w^2 + quad_b w + quad_c with quad_a ~ 1e-10 (within
+        # STRICT_TOL of zero), quad_b = 1e-6 and quad_c ~ 1: a genuine
+        # parabola with quad_b^2 < 4 quad_a quad_c, so N > 0 for every w.
+        a1, a0, b1, b0 = 1.0, complex(1.0 - 1e-10, 1e-6), 1.0, 1.0
+        rep = check_positive_second_order(a1, a0, b1, b0)
+        assert rep.is_positive
+        assert check_positive_siso(CRational.from_coeffs([a0, a1], [b0, b1, 1.0])).is_positive
+
+    def test_tiny_negative_leading_coefficient_reads_as_linear(self):
+        # quad_a ~ -1e-10 is read as zero: N(w) = quad_c > 0 with no slope
+        # passes at margin quad_c, where the discriminant would read -1.
+        a1, a0, b1, b0 = 1.0, 1.0 + 1e-10, 1.0, 1.0
+        rep = check_positive_second_order(a1, a0, b1, b0)
+        assert rep.is_positive
+        assert rep.margin == pytest.approx(1.0)
+        assert check_positive_siso(CRational.from_coeffs([a0, a1], [b0, b1, 1.0])).is_positive
+
     def test_soundness_against_exact(self, rng):
         # wherever the closed form passes with clear margins, the exact route agrees
         confirmed = 0

@@ -1,0 +1,50 @@
+"""The report tooling: ``tools/report_diff.py`` separates moved floats from
+every other difference between two ``tools/cli_reports.py`` directories."""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPORT_DIFF = Path(__file__).resolve().parent.parent / "tools" / "report_diff.py"
+REPORT = '{"certified":true,"parts":[{"margin":%s,"failed_condition":"%s"}]}\n'
+
+
+def report_diff(tmp_path: Path, change: dict[str, str]) -> tuple[int, str]:
+    """Exit code and stdout of report_diff on a one-report parent directory
+    and a change directory holding ``change``'s files."""
+    parent, changed = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    changed.mkdir()
+    (parent / "toy3.check1.out").write_text(REPORT % ("1.000000000000e-01", "none"))
+    (parent / "exit_codes.txt").write_text("toy3 check1 0\n")
+    for name, text in {"toy3.check1.out": REPORT % ("1.000000000000e-01", "none"),
+                       "exit_codes.txt": "toy3 check1 0\n", **change}.items():
+        (changed / name).write_text(text)
+    proc = subprocess.run([sys.executable, str(REPORT_DIFF), str(parent), str(changed)],
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout
+
+
+def test_identical_directories_exit_0(tmp_path):
+    assert report_diff(tmp_path, {}) == (0, "")
+
+
+def test_moved_float_is_listed_and_exits_0(tmp_path):
+    code, out = report_diff(tmp_path, {"toy3.check1.out": REPORT % ("1.000000000001e-01", "none")})
+    assert code == 0
+    assert out.startswith("moved  toy3.check1.out  parts[].margin  1 values")
+    assert "differs" not in out
+
+
+@pytest.mark.parametrize("change", [
+    {"toy3.check1.out": REPORT % ("1.000000000000e-01", "real_part")},
+    {"exit_codes.txt": "toy3 check1 1\n"},
+], ids=["verdict-string", "exit-code"])
+def test_changed_verdict_or_exit_code_exits_1(tmp_path, change):
+    code, out = report_diff(tmp_path, change)
+    assert code == 1
+    assert "differs" in out

@@ -119,7 +119,7 @@ def broadcast_codes(Y: AdmittanceMatrix, blocks: list[dict], eq: dev.Equilibrium
 def failing_parts(block: dict, codes: list[GridCode], u_star: float) -> list[str]:
     """Region parts whose grid code the device in ``block`` does not comply with."""
     g = dev.source_coeffs(params_from_block(block), u_star)
-    return [family(c.region) for c in codes if not dev.check_compliance(g, c).compliant]
+    return [family(c.region) for c in codes if not dev.check_compliance([g], c)[0].compliant]
 
 
 def synthesize_boost(node: int, eq: dev.Equilibrium, codes: list[GridCode]) -> dict:

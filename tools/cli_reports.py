@@ -13,7 +13,7 @@ half-plane, a region without a closed-form synthesis bound, and a tilted
 half-plane that also fails the damping assumption, where the damping verdict
 must name the binding condition.  Every shipped
 scenario pins its equilibrium, so the tool also runs every command but
-``simulate`` on the seed-1 meshes of 64 and 200 nodes from
+``simulate`` on the seed-1 meshes of 64, 200 and 640 nodes from
 ``bench/meshgen.py`` (see ``MESHES``), which resolve their operating point by
 Newton power flow.  It writes
 
@@ -69,7 +69,7 @@ VARIANTS = {
     "toy3-failed-damping-halfplane": ("toy3", ["--region", '{"kind":"halfplane","theta0":0.3,"omega0":0,"sigma0":-20000}']),
 }
 # label -> (nodes, seed) of a bench/meshgen.py mesh
-MESHES = {"mesh-n64-s1": (64, 1), "mesh-n200-s1": (200, 1)}
+MESHES = {"mesh-n64-s1": (64, 1), "mesh-n200-s1": (200, 1), "mesh-n640-s1": (640, 1)}
 
 
 def main(argv: list[str] | None = None) -> int:
