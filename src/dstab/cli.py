@@ -11,6 +11,7 @@ Exit codes: 0 success/certified, 1 not certified, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -19,15 +20,132 @@ import numpy as np
 
 from . import __version__
 from .dstability import certify_thm1, certify_thm2, part_positivity, pole_margins
-from .errors import ConvergenceError, DstabError, RootFindingError, ScenarioError
+from .errors import ConvergenceError, DivergenceError, DstabError, RootFindingError, ScenarioError
 from .regions import region_from_spec, region_to_spec, parts
 from .scenario import build_model, grid_codes, indexed_model, load_scenario, resolve_equilibrium, synthesize
-from .sim import Trajectory, metrics, simulate
+from .sim import metrics, simulate
 
 
-# Values formatted per CSV chunk: large enough to amortize the formatting call,
-# small enough that a chunk of a 640-node table boxes a few megabytes of floats.
-_CSV_CHUNK_VALUES = 1 << 16
+# Values formatted per CSV chunk: about 8 k values keep the kernel's working
+# set (a 24-byte slot and a few 8-byte temporaries per value) under 2 MB.
+_CSV_CHUNK_VALUES = 1 << 13
+# The kernel formats |v| in [_FAST_MIN, _FAST_MAX] and zeros; every other
+# value, and a value whose scaled fraction lies within _TIE_BAND of one half
+# (a possible tie), goes to Python's %.
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+_TIE_BAND = 1e-6
+# Powers of ten 10**k tabled for k = 12 - exponent, one either side of the fast range.
+_POW_MIN, _POW_MAX = -270, 294
+_SPLIT = 134217729.0  # 2**27 + 1: Dekker's splitting constant for doubles
+
+
+@functools.cache
+def _format_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Tables of the %.12e kernel, built on first use.
+
+    * rows ``hi, hi_1, hi_2, lo`` with a column per 10**k, k in [_POW_MIN, _POW_MAX]:
+      10**k = hi + lo to 2**-106 relative, hi = hi_1 + hi_2 split by Dekker;
+    * "0000".."9999" as little-endian uint32 words;
+    * the exponent field "e+05" / "e-100" as words 4 and 5 of a slot,
+      indexed by exponent + 300.
+    """
+    pows = np.empty((4, _POW_MAX - _POW_MIN + 1))
+    for col, k in enumerate(range(_POW_MIN, _POW_MAX + 1)):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        hi = num / den  # int true division rounds correctly
+        m, d = hi.as_integer_ratio()
+        pows[0, col], pows[3, col] = hi, (num * d - m * den) / (den * d)
+    c = pows[0] * _SPLIT
+    pows[1] = c - (c - pows[0])
+    pows[2] = pows[0] - pows[1]
+
+    i = np.arange(10_000)
+    digits = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1) + ord("0")
+    words = np.ascontiguousarray(digits, dtype=np.uint8).view("<u4").ravel()
+
+    e = np.arange(-300, 301)
+    mag = np.abs(e)
+    field = np.zeros((e.size, 8), dtype=np.uint8)  # bytes 16..23 of a slot
+    field[:, 0] = ord("e")
+    field[:, 1] = np.where(e < 0, ord("-"), ord("+"))
+    field[:, 2] = np.where(mag >= 100, ord("0") + mag // 100, 0)
+    field[:, 3] = ord("0") + mag // 10 % 10
+    field[:, 4] = ord("0") + mag % 10
+    return pows, words, field.view("<u4")[:, 0].copy(), field.view("<u4")[:, 1].copy()
+
+
+def _scale(a: np.ndarray, e: np.ndarray, pows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """floor(a * 10**(12 - e)) and the fraction left over.
+
+    The product with the double-double 10**k is formed by Dekker's
+    error-free product, so the fraction is good to about 1e-17."""
+    hi, hi_1, hi_2, lo = pows[:, 12 - e - _POW_MIN]
+    p = a * hi
+    c = a * _SPLIT
+    a_1 = c - (c - a)
+    a_2 = a - a_1
+    err = ((a_1 * hi_1 - p) + a_1 * hi_2 + a_2 * hi_1) + a_2 * hi_2  # a * hi - p, exactly
+    whole = np.floor(p)
+    r = (p - whole) + (err + a * lo)
+    carry = np.floor(r)
+    return whole + carry, r - carry
+
+
+def _format_rows(block: np.ndarray) -> str:
+    """The rows of a 2-D float array as CSV lines, each value as '%.12e' % v.
+
+    Each value fills a 24-byte slot of six uint32 words: sign, lead digit and
+    point; three 4-digit groups; the exponent field and the separator.  Unused
+    bytes stay zero and are dropped in one pass at the end."""
+    pows, words, exp_lo, exp_hi = _format_tables()
+    v = block.ravel()
+    a = np.abs(v)
+    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
+    zero = a == 0.0
+    a_fast = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a_fast)).astype(np.int64)
+    whole, frac = _scale(a_fast, e, pows)
+    # log10 can miss the exponent by one next to a power of ten.
+    low, high = whole < 1e12, whole >= 1e13
+    off = np.flatnonzero(low | high)
+    if off.size:
+        e[off] += high[off].astype(np.int64) - low[off]
+        whole[off], frac[off] = _scale(a_fast[off], e[off], pows)
+    n = whole.astype(np.int64) + (frac > 0.5)
+    # 9.9999999999995e+k and up round to 1.000000000000e+(k+1).
+    carry = n == 10**13
+    n[carry] = 10**12
+    e += carry
+    n[zero] = 0
+    e[zero] = 0
+
+    lead = n // 10**12
+    rest = n - lead * 10**12
+    slots = np.empty((v.size, 6), dtype="<u4")
+    slots[:, 0] = np.where(np.signbit(v), ord("-"), 0) | (ord("0") + lead) << 8 | ord(".") << 16
+    slots[:, 1] = words[rest // 10**8]
+    slots[:, 2] = words[rest // 10**4 % 10**4]
+    slots[:, 3] = words[rest % 10**4]
+    slots[:, 4] = exp_lo[e + 300]
+    sep = np.full(v.size, ord(","), dtype="<u4")
+    sep[block.shape[1] - 1 :: block.shape[1]] = ord("\n")
+    slots[:, 5] = exp_hi[e + 300] | sep << 8
+    raw = slots.view(np.uint8).reshape(v.size, 24)
+    for i in np.flatnonzero(~(fast | zero) | (np.abs(frac - 0.5) < _TIE_BAND)).tolist():
+        text = ("%.12e" % v[i]).encode()
+        raw[i, :21] = 0
+        raw[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return raw.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _csv_chunks(names: list[str], *columns: np.ndarray):
+    """Header and lines of a CSV table whose columns are the given 1-D and
+    2-D arrays side by side, in chunks of about _CSV_CHUNK_VALUES values, so
+    the table is never held as text."""
+    yield ",".join(names) + "\n"
+    rows = max(1, _CSV_CHUNK_VALUES // len(names))
+    for start in range(0, columns[0].shape[0], rows):
+        yield _format_rows(np.column_stack([c[start : start + rows] for c in columns]))
 
 
 def _fmt(value) -> str:
@@ -83,10 +201,8 @@ def _load(args) -> object:
 def cmd_poles(args) -> int:
     sc = _load(args)
     model = build_model(sc)
-    lines = ["re,im,margin"]
-    for pole, margin in pole_margins(model):
-        lines.append(f"{pole.real:.12e},{pole.imag:.12e},{margin:.12e}")
-    _emit("\n".join(lines) + "\n", args.out)
+    rows = np.array([(pole.real, pole.imag, margin) for pole, margin in pole_margins(model)]).reshape(-1, 3)
+    _emit("".join(_csv_chunks(["re", "im", "margin"], rows)), args.out)
     return 0
 
 
@@ -129,18 +245,6 @@ def cmd_synthesize(args) -> int:
     return 0 if result["all_compliant"] else 1
 
 
-def _write_csv(tr: Trajectory, stream) -> None:
-    """Write the trajectory as CSV (t, du_1..du_n; values as %.12e) in chunks
-    of about _CSV_CHUNK_VALUES values, so the table is never held as text."""
-    n_cols = tr.du.shape[1] + 1
-    stream.write("t," + ",".join(f"du_{k + 1}" for k in range(n_cols - 1)) + "\n")
-    row_fmt = ",".join(["%.12e"] * n_cols) + "\n"
-    rows = max(1, _CSV_CHUNK_VALUES // n_cols)
-    for start in range(0, tr.t.shape[0], rows):
-        chunk = np.column_stack((tr.t[start : start + rows], tr.du[start : start + rows]))
-        stream.write((row_fmt * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
-
-
 def cmd_simulate(args) -> int:
     sc = _load(args)
     if sc.disturbance is None:
@@ -148,13 +252,14 @@ def cmd_simulate(args) -> int:
     model = build_model(sc)
     tr = simulate(model, sc.disturbance, t_end=sc.t_end, dt=sc.dt)
     stats = metrics(tr, band=sc.band)
+    names = ["t"] + [f"du_{k + 1}" for k in range(tr.du.shape[1])]
     if args.out:
         base = Path(args.out)
         with base.with_suffix(".csv").open("w") as stream:
-            _write_csv(tr, stream)
+            stream.writelines(_csv_chunks(names, tr.t, tr.du))
         base.with_suffix(".metrics.json").write_text(dumps({"scenario": sc.name, **stats}))
     else:
-        _write_csv(tr, sys.stdout)
+        sys.stdout.writelines(_csv_chunks(names, tr.t, tr.du))
         sys.stderr.write(dumps({"scenario": sc.name, **stats}) + "\n")
     return 0
 
@@ -213,15 +318,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command parser, built once per process; parse_args keeps no state
+    between calls."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ScenarioError as exc:
         sys.stderr.write(dumps({"error": "input", "message": str(exc)}) + "\n")
         return 2
-    except (ConvergenceError, RootFindingError) as exc:
+    except (ConvergenceError, DivergenceError, RootFindingError) as exc:
         sys.stderr.write(dumps({"error": "numerical", "message": str(exc)}) + "\n")
         return 3
     except DstabError as exc:

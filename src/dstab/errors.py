@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: scenario/input problems exit with 2,
-numerical failures (non-convergence) with 3.
+numerical failures (non-convergence, divergence) with 3.
 """
 
 
@@ -48,6 +48,10 @@ class LLAssumptionError(DstabError, ValueError):
 
 class ConvergenceError(DstabError, ArithmeticError):
     """Iterative solver (power-flow Newton, eigensolver) failed to converge."""
+
+
+class DivergenceError(DstabError, ArithmeticError):
+    """Time-domain simulation left the finite floats."""
 
 
 class ScenarioError(DstabError, ValueError):

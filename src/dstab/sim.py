@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dstability import SystemModel, assemble_closed_loop
-from .errors import DstabError
+from .errors import DivergenceError, DstabError
 
 # Column width of the in-place Horner evaluation of the RK4 propagator.
 _HORNER_COLS = 64
@@ -57,7 +57,8 @@ def simulate(m: SystemModel, d: DisturbanceSpec, t_end: float, dt: float) -> Tra
     """Integrate the disturbed closed-loop model over [0, t_end].
 
     Warns (without aborting) when RK4 at step ``dt`` amplifies a decaying
-    closed-loop mode.
+    closed-loop mode, and raises DivergenceError when the trajectory
+    overflows to a non-finite value.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -161,16 +162,23 @@ def simulate(m: SystemModel, d: DisturbanceSpec, t_end: float, dt: float) -> Tra
     x = np.zeros(n_states)
     du = np.zeros((n_steps + 1, n_nodes))
     starts = np.flatnonzero(np.diff(w, prepend=-1.0)).tolist()  # first step of each run
-    for start, stop in zip(starts, starts[1:] + [n_steps]):
-        w_run = w[start]
-        step = start
-        while block > 1 and stop - step >= block:
-            du[step + 1 : step + block + 1] = (maps @ x).reshape(block, n_nodes) + w_run * forced
-            x = p_block @ x + w_run * s[-1]
-            step += block
-        for step in range(step, stop):
-            x = p @ x + w_run * q
-            du[step + 1] = output(x)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        for start, stop in zip(starts, starts[1:] + [n_steps]):
+            w_run = w[start]
+            step = start
+            while block > 1 and stop - step >= block:
+                du[step + 1 : step + block + 1] = (maps @ x).reshape(block, n_nodes) + w_run * forced
+                x = p_block @ x + w_run * s[-1]
+                step += block
+            for step in range(step, stop):
+                x = p @ x + w_run * q
+                du[step + 1] = output(x)
+    finite = np.isfinite(du).all(axis=1)
+    if not finite.all():
+        raise DivergenceError(
+            f"simulation diverged: the trajectory is not finite from t = {t[np.argmin(finite)]:.6g} s "
+            f"(RK4 step dt = {dt:.3g} s)"
+        )
     return Trajectory(t, du)
 
 

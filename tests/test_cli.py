@@ -495,6 +495,22 @@ class TestSimulateCmd:
         assert code == 2
         assert '"error":"input"' in err and "simulation" in err
 
+    def test_diverging_trajectory_exits_3(self, tmp_path):
+        # RK4 at dt = 1 ms is unstable for toy3 and overflows within 20 s
+        path = toy_variant(tmp_path, lambda raw: raw.update(simulation={"t_end_s": 20, "dt_s": 1e-3, "band": 0.02}))
+        for extra in ([], ["--out", str(tmp_path / "run")]):
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main(["simulate", str(path), *extra])
+            assert code == 3 and out.getvalue() == ""
+            assert [str(w.message).startswith("step dt = 0.001 s is unstable for RK4") for w in caught] == [True]
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and json.loads(lines[0])["error"] == "numerical"
+            assert "not finite" in lines[0]
+        assert list(tmp_path.glob("run*")) == []
+
     @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
     def test_csv_is_per_value_format(self, capsys, tmp_path, monkeypatch, to_file):
         import numpy as np
@@ -508,12 +524,41 @@ class TestSimulateCmd:
         n_rows = 40_001
         du = rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(-320, 308, (n_rows, 3))
         du[:6, 0] = [-0.0, 5e-324, -2.5e-310, 1e-100, -1.0e300, 0.0]
+
+        def ulps(x, steps):
+            for _ in range(abs(steps)):
+                x = np.nextafter(x, math.copysign(math.inf, steps))
+            return x
+
+        # values the kernel must round or route with care: exact ties at the
+        # 14th significant digit (odd and even 13th digit) from 1e-6 to 1e13,
+        # x.5 ties, 9.9999999999995e+k and its neighbours (the round-up to
+        # the next power of ten), powers of ten +-1 ulp (where log10 misses
+        # the exponent), infinities, nan, the largest finite value, random
+        # bits.  A tie is m * 2**-j = m * 5**j / 10**j with m odd and
+        # m * 5**j of 14 digits.
+        j = rng.integers(1, 20, 600)
+        m = rng.integers(-(-(10**13) // 5**j), 10**14 // 5**j) // 2 * 2 + 1
+        power_ten = np.array([float(f"1e{k}") for k in range(-307, 309)])
+        round_up = 9.9999999999995 * 10.0 ** np.arange(-300, 300, 3)
+        edge = np.concatenate([
+            np.ldexp(m.astype(float), -j),
+            rng.integers(0, 10**13, 600) + 0.5,
+            *(ulps(round_up, k) for k in range(-2, 3)),
+            *(ulps(power_ten, k) for k in (-1, 0, 1)),
+            [math.inf, -math.inf, math.nan, np.finfo(float).max, -np.finfo(float).max],
+            rng.integers(0, 2**64, 3000, dtype=np.uint64).view(float),
+        ])
+        flip = rng.random(edge.size) < 0.5
+        edge[flip] = -edge[flip]
+        du.ravel()[6 : 6 + edge.size] = edge
         t = np.linspace(0.0, 1.0, n_rows)
         monkeypatch.setattr(cli, "simulate", lambda *a, **k: Trajectory(t, du))
         expected = "t,du_1,du_2,du_3\n" + "".join(
             ",".join(f"{v:.12e}" for v in (t[i], *du[i])) + "\n" for i in range(n_rows)
         )
         assert "-0.000000000000e+00" in expected and "e-310" in expected and "e+300" in expected
+        assert "1.000000000000e+23" in expected and "-inf" in expected and "nan" in expected
         if to_file:
             code, _, _ = run(capsys, "simulate", TOY, "--out", str(tmp_path / "run"))
             text = (tmp_path / "run.csv").read_text()
@@ -668,6 +713,36 @@ class TestDeterminism:
         assert dumps({"x": 1.5}) == '{"x":1.500000000000e+00}'
         assert dumps({"x": float("nan"), "y": [True, None]}) == '{"x":"nan","y":[true,null]}'
         assert dumps({"z": -0.0}) == '{"z":0.000000000000e+00}'
+
+
+class TestParser:
+    def test_built_once_across_calls(self, capsys, monkeypatch):
+        import dstab.cli as cli
+
+        builds = []
+        build = cli.build_parser
+
+        def counting():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        run(capsys, "check", TOY, "--theorem", "1")
+        run(capsys, "poles", TOY)
+        assert len(builds) == 1
+
+    def test_calls_share_no_arguments(self, capsys):
+        _, plain, _ = run(capsys, "check", TOY)
+        assert json.loads(plain)["theorem"] == "thm2"
+        _, thm1, _ = run(capsys, "check", TOY, "--theorem", "1")
+        assert json.loads(thm1)["theorem"] == "thm1"
+        code, again, _ = run(capsys, "check", TOY)
+        assert code == 0 and again == plain
+        code, _, _ = run(capsys, "check", TOY, "--region", '{"kind":"lhp","alpha":-20000}')
+        assert code == 1
+        code, again, _ = run(capsys, "check", TOY)
+        assert code == 0 and again == plain
 
 
 class TestNumericalFailure:

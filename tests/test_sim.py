@@ -11,7 +11,7 @@ from scipy.linalg import expm
 
 from dstab import devices as dev
 from dstab.dstability import SystemModel, assemble_closed_loop, closed_loop_poles
-from dstab.errors import DstabError
+from dstab.errors import DivergenceError, DstabError
 from dstab.network import NodePartition, build_admittance
 from dstab.regions import shifted_lhp
 from dstab.sim import DisturbanceSpec, Trajectory, metrics, simulate
@@ -187,7 +187,16 @@ class TestSimulate:
     def test_coarse_step_warns(self, toy_model):
         d = DisturbanceSpec(node=2, magnitude=0.01, start=0.05, duration=0.02)
         with pytest.warns(RuntimeWarning):
+            tr = simulate(toy_model, d, t_end=0.1, dt=1e-3)
+        assert np.isfinite(tr.du).all()
+
+    def test_overflow_raises_after_the_warning(self, toy_model):
+        # the mode the coarse step amplifies overflows before 0.2 s
+        d = DisturbanceSpec(node=2, magnitude=0.01, start=0.05, duration=0.02)
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(DivergenceError, match="not finite from t = "):
+            warnings.simplefilter("always")
             simulate(toy_model, d, t_end=0.2, dt=1e-3)
+        assert [str(w.message).startswith("step dt = 0.001 s is unstable for RK4") for w in caught] == [True]
 
     @pytest.mark.parametrize("name", ["toy3", "ieee39_default", "ieee39_synthesized"])
     def test_shipped_step_sizes_do_not_warn(self, name):
