@@ -6,13 +6,7 @@ __version__ = "0.1.0"
 from .cpoly import (
     CPoly,
     CRational,
-    RealRationalMatrix2x2,
-    feedback,
-    real_equiv,
-    residue_at,
     roots,
-    rotate,
-    substitute_affine,
 )
 from .devices import (
     ComplianceReport,
@@ -32,7 +26,6 @@ from .devices import (
     cpl_tf,
     equilibrium_solve,
     loop_transform,
-    modified_cpl,
 )
 from .dstability import (
     CertificationReport,
@@ -56,17 +49,12 @@ from .network import (
 from .positivity import (
     FailedCondition,
     PositivityReport,
-    check_positive_second_order,
     check_positive_siso,
-    check_pr_real_matrix,
-    complex_routh_hurwitz_quadratic,
 )
 from .regions import (
     CompositeRegion,
     HalfPlaneRegion,
     horizontal_strip,
-    map_to_nu,
-    map_to_s,
     sector,
     shifted_lhp,
 )

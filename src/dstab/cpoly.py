@@ -115,14 +115,6 @@ class CPoly:
     def scale(self, a: complex) -> CPoly:
         return CPoly(tuple(a * c for c in self.coeffs))
 
-    def compose_linear(self, a: complex, b: complex) -> CPoly:
-        """Return p(a*x + b) via Horner on polynomial coefficients."""
-        acc = CPoly.zero()
-        lin = CPoly((complex(b), complex(a)))
-        for c in reversed(self.coeffs):
-            acc = acc * lin + CPoly((complex(c),))
-        return acc
-
     def real_coeffs(self, tol: float = 1e-9) -> CPoly:
         """Drop imaginary parts, checking they are rounding noise."""
         scale = max(self.norm_inf, 1e-300)
@@ -305,84 +297,3 @@ def _kept(coeffs: tuple[complex, ...]) -> CPoly:
     p = object.__new__(CPoly)
     object.__setattr__(p, "coeffs", coeffs)
     return p
-
-
-def substitute_affine(r: CRational, a: complex, b: complex) -> CRational:
-    """The rational function nu -> r(a*nu + b) (degree-preserving, a != 0)."""
-    if a == 0:
-        raise ValueError("affine substitution requires a != 0")
-    return CRational(r.num.compose_linear(a, b), r.den.compose_linear(a, b))
-
-
-def rotate(r: CRational, phi: float) -> CRational:
-    """Multiply by the unit phasor e^{j*phi}."""
-    return CRational(r.num.scale(cmath.exp(1j * phi)), r.den)
-
-
-def feedback(r: CRational, rho: complex) -> CRational:
-    """Close the loop [1 + rho*r]^{-1} r without pole-zero cancellation."""
-    den = r.den + r.num.scale(complex(rho))
-    if den.is_zero:
-        raise DegenerateLoopError("closed loop denominator is identically zero")
-    return CRational(r.num, den)
-
-
-def residue_at(r: CRational, p: complex) -> complex:
-    """Residue of ``r`` at a simple pole ``p`` (num(p) / den'(p))."""
-    scale = r.den.norm_inf * max(1.0, abs(p)) ** r.den.degree
-    if abs(r.den(p)) > 1e-8 * scale:
-        raise NotAPoleError(f"{p} is not a pole (|den| = {abs(r.den(p)):.3e})")
-    dden = r.den.derivative()
-    dscale = max(dden.norm_inf, 1e-300) * max(1.0, abs(p)) ** max(dden.degree, 0)
-    dval = dden(p)
-    if abs(dval) <= 1e-8 * dscale:
-        raise NotSimplePoleError(f"pole at {p} is not simple (|den'| = {abs(dval):.3e})")
-    return r.num(p) / dval
-
-
-@dataclass(frozen=True)
-class RealRationalMatrix2x2:
-    """Real-rational 2x2 block [[re, -im], [im, re]] over a common denominator."""
-
-    re: CRational
-    im: CRational
-
-    def __post_init__(self) -> None:
-        if self.re.den.coeffs != self.im.den.coeffs:
-            raise ValueError("blocks must share a common denominator")
-
-    @property
-    def den(self) -> CPoly:
-        return self.re.den
-
-
-def real_equiv(r: CRational) -> RealRationalMatrix2x2:
-    """Embed a complex-coefficient rational function as a 2x2 real-rational block.
-
-    Splitting r = r_re + j*r_im requires a real-coefficient denominator: the
-    least common multiple of den(r) and its conjugate-coefficient polynomial.
-    Self-conjugate denominator factors are detected by root clustering
-    (relative tolerance ``CLUSTER_TOL``) and are **not** doubled.
-    """
-    den_roots = roots(r.den) if r.den.degree >= 1 else []
-    clusters = cluster_roots(den_roots)
-
-    # Extra factors complete the conjugate pairs: each cluster center p of
-    # multiplicity m contributes max(0, m - mult(conj p)) copies of conj(p).
-    extra: list[complex] = []
-    for center, mult in clusters:
-        if abs(center.imag) <= CLUSTER_TOL * max(1.0, abs(center)):
-            continue  # real pole, self-conjugate
-        conj_mult = 0
-        for other, m2 in clusters:
-            if abs(other - center.conjugate()) <= CLUSTER_TOL * max(1.0, abs(center)):
-                conj_mult = m2
-                break
-        extra.extend([center.conjugate()] * max(0, mult - conj_mult))
-
-    ext = CPoly.from_roots(extra)
-    den_real = (r.den * ext).real_coeffs(tol=1e-6)
-    num_ext = r.num * ext
-    num_re = CPoly(tuple(complex(c.real) for c in num_ext.coeffs))
-    num_im = CPoly(tuple(complex(c.imag) for c in num_ext.coeffs))
-    return RealRationalMatrix2x2(CRational(num_re, den_real), CRational(num_im, den_real))

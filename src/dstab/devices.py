@@ -223,25 +223,6 @@ def cpl_tf(p: CplParams, u_star: float) -> CRational:
     return CRational.from_coeffs([1.0], [-y_l, p.C_l])
 
 
-def modified_cpl(p: CplParams, u_star: float, region: HalfPlaneRegion) -> CRational:
-    """Loop-transformed load 1 / (C_l (nu - j Im{nu_p})): a positive function
-    with a simple imaginary-axis pole of residue 1/C_l."""
-    y_l = cpl_conductance(p, u_star)
-    nu_p = (
-        -region.sigma0
-        + (y_l / p.C_l) * cmath.exp(-1j * region.theta0)
-        - region.omega0 * cmath.exp(1j * (math.pi / 2 - region.theta0))
-    )
-    result = CRational.from_coeffs([1.0], [-1j * p.C_l * nu_p.imag, p.C_l])
-    report = check_positive_siso(result)
-    if not report.is_positive:
-        raise DstabError(
-            f"modified load lost positivity ({report.failed_condition.value}); "
-            "this indicates a formula or tolerance bug"
-        )
-    return result
-
-
 def _monic(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows scaled by the reciprocal of each denominator's leading
     coefficient, which becomes exactly 1, with the coefficients that

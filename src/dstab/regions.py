@@ -114,20 +114,6 @@ def horizontal_strip(gamma: float) -> HalfPlaneRegion:
     return HalfPlaneRegion(_HALF_PI, float(gamma), 0.0)
 
 
-def map_to_nu(region: HalfPlaneRegion, s: complex) -> complex:
-    """Map a point of the s-plane into the auxiliary nu-plane.
-
-    The region interior maps onto Re{nu} <= 0; the boundary onto the
-    imaginary axis.
-    """
-    return cmath.exp(-1j * region.theta0) * (s - 1j * region.omega0) - region.sigma0
-
-
-def map_to_s(region: HalfPlaneRegion, nu: complex) -> complex:
-    """Inverse of :func:`map_to_nu`."""
-    return cmath.exp(1j * region.theta0) * (nu + region.sigma0) + 1j * region.omega0
-
-
 def parts(region: Region) -> tuple[HalfPlaneRegion, ...]:
     if isinstance(region, CompositeRegion):
         return region.parts

@@ -27,8 +27,16 @@ from conftest import (
     random_positive_rational,
     random_source_coeffs,
 )
+from crosscheck import (
+    check_positive_second_order,
+    check_pr_real_matrix,
+    complex_routh_hurwitz_quadratic,
+    map_to_nu,
+    real_equiv,
+    substitute_affine,
+)
 from dstab import devices as dev
-from dstab.cpoly import CRational, real_equiv, roots, substitute_affine
+from dstab.cpoly import CRational, roots
 from dstab.dstability import (
     SystemModel,
     certify_thm1,
@@ -38,13 +46,8 @@ from dstab.dstability import (
 )
 from dstab.errors import LLAssumptionError
 from dstab.network import AdmittanceMatrix, NodePartition, grid_code, schur_xi
-from dstab.positivity import (
-    check_positive_second_order,
-    check_positive_siso,
-    check_pr_real_matrix,
-    complex_routh_hurwitz_quadratic,
-)
-from dstab.regions import HalfPlaneRegion, horizontal_strip, map_to_nu, parts, sector, shifted_lhp
+from dstab.positivity import check_positive_siso
+from dstab.regions import HalfPlaneRegion, horizontal_strip, parts, sector, shifted_lhp
 from dstab.scenario import build_model, grid_codes, load_scenario, synthesize
 from dstab.sim import metrics, simulate
 

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from conftest import assert_rational_close, random_source_coeffs
+from crosscheck import feedback, modified_cpl, rotate, substitute_affine
 from dstab import devices as dev
-from dstab.cpoly import CRational, feedback, roots, rotate, substitute_affine
+from dstab.cpoly import CRational, roots
 from dstab.errors import ConvergenceError
 from dstab.network import NodePartition, build_admittance, grid_code, virtual_admittance_from_conductance
 from dstab.positivity import FailedCondition, PositivityReport, check_positive_siso
@@ -115,7 +116,7 @@ class TestVirtualAdmittance:
 class TestModifiedCpl:
     def test_lhp_is_integrator_like(self):
         p = dev.CplParams(C_l=2e-3, P=1500.0)
-        m = dev.modified_cpl(p, 100.0, shifted_lhp(-8.0))
+        m = modified_cpl(p, 100.0, shifted_lhp(-8.0))
         assert m.den.coeffs == pytest.approx((0.0, 1.0))
 
     def test_pole_real_part_vanishes(self, rng):
@@ -124,7 +125,7 @@ class TestModifiedCpl:
             region = HalfPlaneRegion(
                 float(rng.uniform(0, math.pi / 2)), float(rng.uniform(0, 50)), -float(rng.uniform(0, 5))
             )
-            m = dev.modified_cpl(p, float(rng.uniform(90, 110)), region)
+            m = modified_cpl(p, float(rng.uniform(90, 110)), region)
             pole = roots(m.den)[0]
             assert abs(pole.real) < 1e-9 * max(1.0, abs(pole))
             assert check_positive_siso(m).is_positive
@@ -140,7 +141,7 @@ class TestModifiedCpl:
             a = cmath.exp(1j * region.theta0)
             b = a * region.sigma0 + 1j * region.omega0
             via_loop = feedback(rotate(substitute_affine(dev.cpl_tf(p, u_star), a, b), region.theta0), y_v)
-            assert_rational_close(via_loop, dev.modified_cpl(p, u_star, region), tol=1e-10)
+            assert_rational_close(via_loop, modified_cpl(p, u_star, region), tol=1e-10)
 
 
 class TestRotatedSource:

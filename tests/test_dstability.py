@@ -15,9 +15,10 @@ from conftest import (
     random_mild_subsystem,
     random_source_coeffs,
 )
+from crosscheck import map_to_nu, substitute_affine
 from dstab import devices as dev
 from dstab.cli import dumps
-from dstab.cpoly import CRational, roots, substitute_affine
+from dstab.cpoly import CRational, roots
 from dstab.dstability import (
     SystemModel,
     assemble_closed_loop,
@@ -32,7 +33,6 @@ from dstab.network import AdmittanceMatrix, NodePartition, build_admittance, gri
 from dstab.regions import (
     CompositeRegion,
     HalfPlaneRegion,
-    map_to_nu,
     sector,
     shifted_lhp,
 )

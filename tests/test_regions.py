@@ -9,14 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crosscheck import map_to_nu, map_to_s
 from dstab.errors import InvalidRegionError
 from dstab.regions import (
     CompositeRegion,
     HalfPlaneRegion,
     family,
     horizontal_strip,
-    map_to_nu,
-    map_to_s,
     region_from_spec,
     region_to_spec,
     sector,
