@@ -14,23 +14,15 @@ like ``CPoly.coeffs``, and a row's result depends on that row alone.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateLoopError,
-    NotAPoleError,
-    NotSimplePoleError,
-    PoleEvaluationError,
-    RootFindingError,
-)
+from .errors import PoleEvaluationError, RootFindingError
 
 # Trailing coefficients below TRIM_TOL * max|c| are treated as zero.
 TRIM_TOL = 1e-14
-# Relative tolerance for clustering numerically coincident roots
-# (conjugate-pair detection in the real-equivalent embedding).
+# Relative tolerance for clustering numerically coincident roots.
 CLUSTER_TOL = 1e-8
 
 
@@ -131,12 +123,6 @@ def norms_and_degrees(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     norm = np.maximum.reduce(mag, axis=1)
     keep = mag > TRIM_TOL * norm[:, None]
     return norm, np.maximum.reduce(keep * np.arange(1, c.shape[1] + 1), axis=1) - 1
-
-
-def degrees(c: np.ndarray) -> np.ndarray:
-    """The degree of every row of ascending coefficients under the trim rule
-    of :class:`CPoly`; -1 for a zero row."""
-    return norms_and_degrees(c)[1]
 
 
 def polyval_rows(c: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -23,9 +23,9 @@ from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
 
-from .cpoly import CRational, degrees, rationals_from_rows
-from .errors import ConvergenceError, DegenerateLoopError, DstabError, NetworkError
-from .positivity import PositivityReport, check_positive_rows, check_positive_siso
+from .cpoly import CRational, norms_and_degrees, rationals_from_rows
+from .errors import ConvergenceError, DegenerateLoopError, NetworkError
+from .positivity import PositivityReport, check_positive_rows
 from .regions import HalfPlaneRegion, family
 
 if TYPE_CHECKING:
@@ -227,7 +227,7 @@ def _monic(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows scaled by the reciprocal of each denominator's leading
     coefficient, which becomes exactly 1, with the coefficients that
     :class:`CPoly` trims zeroed, as :class:`CRational` keeps them."""
-    deg = degrees(den)
+    deg = norms_and_degrees(den)[1]
     if (deg < 0).any():
         raise DegenerateLoopError("closed loop denominator is identically zero")
     rows = np.arange(len(den))
@@ -236,7 +236,7 @@ def _monic(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     den[rows, deg] = 1.0
     den[deg[:, None] < np.arange(den.shape[1])] = 0.0
     num = num * inv
-    num[degrees(num)[:, None] < np.arange(num.shape[1])] = 0.0
+    num[norms_and_degrees(num)[1][:, None] < np.arange(num.shape[1])] = 0.0
     return num, den
 
 

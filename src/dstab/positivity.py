@@ -9,22 +9,10 @@ imaginary-axis poles with nonnegative real residues.  Rows are grouped by
 their (numerator, denominator) degrees and each group is decided in one
 vectorized numpy pass; every row's report depends on that row's
 coefficients alone.  ``check_positive_siso`` is its one-row call.
-
-``check_pr_real_matrix`` verifies positive realness of the 2x2 real-rational
-embedding with an independent frequency route: the same exact pole-location
-test, residue matrices at imaginary-axis poles, and a sampled and
-golden-section-refined sweep of the minimum eigenvalue of the Hermitian part.
-The pair gives a dual-route check of the same property.
-
-``check_positive_second_order`` is the closed-form coefficient test for
-h = (a1*nu + a0) / (nu^2 + b1*nu + b0), and
-``complex_routh_hurwitz_quadratic`` the underlying stability determinant test
-for complex quadratics.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -32,16 +20,8 @@ from enum import Enum
 
 import numpy as np
 
-from .cpoly import (
-    CPoly,
-    CRational,
-    cluster_roots,
-    companion_roots,
-    norms_and_degrees,
-    polyval_rows,
-    roots,
-)
-from .errors import NonProperError, NotAPoleError, NotSimplePoleError, RootFindingError
+from .cpoly import CRational, cluster_roots, companion_roots, norms_and_degrees, polyval_rows
+from .errors import NonProperError, NotAPoleError, RootFindingError
 
 POLE_TOL = 1e-9        # absolute tolerance on Re{pole}
 STRICT_TOL = 1e-9      # normalized margin for ">" / ">=" decisions
@@ -132,12 +112,6 @@ def real_part_numerator_rows(
         prod[:, j : j + num.shape[1]] += (a * b[:, j, None]).real
     prod[np.abs(prod) <= (1e-12 * prod.shape[1] * num_inf * den_inf)[:, None]] = 0.0
     return prod
-
-
-def real_part_numerator(h: CRational) -> CPoly:
-    """N(w) of one function: the one-row call of :func:`real_part_numerator_rows`."""
-    rows = real_part_numerator_rows(np.array([h.num.coeffs]), np.array([h.den.coeffs]))
-    return CPoly(tuple(complex(c) for c in rows[0]))
 
 
 def _cluster_poles(

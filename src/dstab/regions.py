@@ -1,4 +1,4 @@
-"""Pole-placement regions and the affine map to the auxiliary half-plane.
+"""Pole-placement regions.
 
 A region is the conjugate-symmetric intersection of a generalized half-plane
 with its mirror image, parameterized by a rotation angle ``theta0`` in

@@ -177,13 +177,6 @@ def modified_cpl(p: CplParams, u_star: float, region: HalfPlaneRegion) -> CRatio
 # ---------------------------------------------------------------------------
 # closed-form quadratic and sampled embedding checks
 
-def _pole_conditions(
-    den: CPoly,
-) -> tuple[float, list[tuple[complex, complex]], list[tuple[complex, int]], list[complex]]:
-    """:func:`_cluster_poles` of the roots of ``den``."""
-    return _cluster_poles(roots(den) if den.degree >= 1 else [])
-
-
 def complex_routh_hurwitz_quadratic(b1: complex, b0: complex) -> bool:
     """Both roots of nu^2 + b1*nu + b0 have Re < 0 (Hurwitz determinants)."""
     b1 = complex(b1)
@@ -252,7 +245,7 @@ def check_positive_second_order(a1: complex, a0: complex, b1: complex, b0: compl
     m_b = abs(quad_b) / (abs(a0i * b1r) + abs(a1r * b0i) + abs(a0r * b1i) + tiny)
     if abs(m_a) <= STRICT_TOL and (quad_a <= 0.0 or m_b <= STRICT_TOL):
         # A vanishing leading coefficient, read as zero the way
-        # real_part_numerator zeroes cancellation noise: N(w) = quad_b w +
+        # real_part_numerator_rows zeroes cancellation noise: N(w) = quad_b w +
         # quad_c is nonnegative iff its slope vanishes too and quad_c >= 0.
         # A small positive one with a live slope is a genuine parabola, left
         # to the discriminant test.
@@ -327,7 +320,7 @@ def check_pr_real_matrix(M: RealRationalMatrix2x2) -> PositivityReport:
         return PositivityReport(True, FailedCondition.NONE, (), 0.0)
 
     scale = max((M.re.num.norm_inf + M.im.num.norm_inf) / M.den.norm_inf, 1e-300)
-    margin_a, pole_witnesses, multi_axis, simple_axis = _pole_conditions(M.den)
+    margin_a, pole_witnesses, multi_axis, simple_axis = _cluster_poles(roots(M.den) if M.den.degree >= 1 else [])
     if pole_witnesses:
         return PositivityReport(False, FailedCondition.POLE_LOCATION, tuple(pole_witnesses), min(margin_a, 0.0))
     if multi_axis:
