@@ -273,34 +273,39 @@ def check_positive_second_order(a1: complex, a0: complex, b1: complex, b0: compl
     return PositivityReport(True, FailedCondition.NONE, (), min(margins))
 
 
-def _golden_min(f, a: float, b: float) -> tuple[float, float]:
+def _golden_min(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section minimum of ``f`` on every bracket [a[i], b[i]] at once:
+    GOLDEN_ITERS steps, each one batched evaluation at the new probes."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(GOLDEN_ITERS):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return ((a + b) / 2.0, fc) if fc < fd else ((a + b) / 2.0, fd)
+        # fc < fd keeps [a, d] and probes a new c; otherwise [c, b] and a new d.
+        left = fc < fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
+        x = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        fx = f(x)
+        c, fc = np.where(left, x, kept), np.where(left, fx, f_kept)
+        d, fd = np.where(left, kept, x), np.where(left, f_kept, fx)
+    return (a + b) / 2.0, np.where(fc < fd, fc, fd)
 
 
 def _refined_minimum(f, grid: np.ndarray) -> tuple[float, float]:
     """Coarse scan of ``f`` over ``grid`` plus golden-section refinement
-    around every local minimum."""
-    values = np.array([f(w) for w in grid])
+    around every local minimum; ``f`` takes and returns arrays."""
+    values = f(grid)
     best_w = float(grid[int(np.nanargmin(values))])
     best_v = float(np.nanmin(values))
-    for i in range(1, len(grid) - 1):
-        if values[i] <= values[i - 1] and values[i] <= values[i + 1] and math.isfinite(values[i]):
-            w, v = _golden_min(f, float(grid[i - 1]), float(grid[i + 1]))
-            if v < best_v:
-                best_w, best_v = w, v
+    mid = values[1:-1]
+    i = ((mid <= values[:-2]) & (mid <= values[2:]) & np.isfinite(mid)).nonzero()[0] + 1
+    if i.size:
+        w, v = _golden_min(f, grid[i - 1], grid[i + 1])
+        # The first refined minimum below the grid's wins, as in a scan.
+        k = int(np.argmin(np.where(np.isnan(v), math.inf, v)))
+        if v[k] < best_v:
+            best_w, best_v = float(w[k]), float(v[k])
     return best_w, best_v
 
 
@@ -350,15 +355,15 @@ def check_pr_real_matrix(M: RealRationalMatrix2x2) -> PositivityReport:
         margin_c = min(margin_c, lam)
 
     # frequency condition over w >= 0
-    def lam_min(w: float) -> float:
+    def lam_min(w: np.ndarray) -> np.ndarray:
         den_val = M.den(1j * w)
-        if abs(den_val) < 1e-10 * M.den.norm_inf * max(1.0, abs(w)) ** M.den.degree:
-            return math.inf
         a = M.re.num(1j * w) / den_val
         b = M.im.num(1j * w) / den_val
-        return 2.0 * (a.real - abs(b.imag))
+        near_pole = np.abs(den_val) < 1e-10 * M.den.norm_inf * np.maximum(1.0, np.abs(w)) ** M.den.degree
+        return np.where(near_pole, math.inf, 2.0 * (a.real - np.abs(b.imag)))
 
-    w_min, v_min = _refined_minimum(lam_min, FREQUENCY_GRID)
+    with np.errstate(all="ignore"):
+        w_min, v_min = _refined_minimum(lam_min, FREQUENCY_GRID)
 
     # High-frequency limit matters only for biproper entries (strictly proper
     # responses roll off to zero, which never violates the closed condition).
