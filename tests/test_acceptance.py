@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    assert_rational_close,
     characteristic_poly,
     match_distance,
     random_crational,
@@ -33,6 +34,7 @@ from crosscheck import (
     complex_routh_hurwitz_quadratic,
     map_to_nu,
     real_equiv,
+    rotate,
     substitute_affine,
 )
 from dstab import devices as dev
@@ -304,6 +306,8 @@ def test_criterion_4_mapping_fidelity(rng):
         a = cmath.exp(1j * region.theta0)
         b = a * region.sigma0 + 1j * region.omega0
         mapped = tuple(substitute_affine(g, a, b) for g in subs)
+        for g, g_nu in zip(subs, mapped):  # the certifiers' map is this substitution, rotated
+            assert_rational_close(dev.map_subsystem(g, region), rotate(g_nu, region.theta0))
         nu_roots = roots(characteristic_poly(mapped, Y.Y))
         expected = [map_to_nu(region, p) for p in closed_loop_poles(m)]
         assert len(nu_roots) == len(expected)

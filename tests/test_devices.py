@@ -140,8 +140,10 @@ class TestModifiedCpl:
             y_v = virtual_admittance_from_conductance(p.C_l, dev.cpl_conductance(p, u_star), region)
             a = cmath.exp(1j * region.theta0)
             b = a * region.sigma0 + 1j * region.omega0
+            closed_form = modified_cpl(p, u_star, region)
+            assert_rational_close(dev.loop_transform(dev.cpl_tf(p, u_star), region, y_v), closed_form, tol=1e-10)
             via_loop = feedback(rotate(substitute_affine(dev.cpl_tf(p, u_star), a, b), region.theta0), y_v)
-            assert_rational_close(via_loop, modified_cpl(p, u_star, region), tol=1e-10)
+            assert_rational_close(via_loop, closed_form, tol=1e-10)
 
 
 class TestRotatedSource:
