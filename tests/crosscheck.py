@@ -1,15 +1,8 @@
-"""Cross-check routes: independent second routes to the decisions that
-``dstab`` makes on one route, kept with the tests that compare them.
-
-``check_pr_real_matrix`` decides positive realness of the 2x2 real-rational
-embedding (``real_equiv``) by a sampled, golden-section-refined frequency
-sweep (criterion 2); ``check_positive_second_order`` and
-``complex_routh_hurwitz_quadratic`` are the closed-form quadratic tests
-(criterion 3); ``substitute_affine``, ``rotate`` and ``feedback`` build the
-loop transform in the s-domain algebra, and ``map_to_nu`` / ``map_to_s`` map
-single points (criterion 4); ``modified_cpl`` is the closed-form
-loop-transformed load.  Each is compared against the production function it
-checks.
+"""Second routes to the decisions ``dstab`` makes on one route, each
+compared by the tests against the production function it checks: the
+sampled 2x2 real embedding (criterion 2), the closed-form quadratic
+(criterion 3), the s-domain substitute/rotate/feedback chain and the point
+maps (criterion 4), and the closed-form loop-transformed load.
 """
 
 from __future__ import annotations
@@ -23,14 +16,8 @@ import numpy as np
 from dstab.cpoly import CLUSTER_TOL, CPoly, CRational, cluster_roots, roots
 from dstab.devices import CplParams, cpl_conductance
 from dstab.errors import DegenerateLoopError, DstabError, NonProperError, NotAPoleError, NotSimplePoleError
-from dstab.positivity import (
-    POLE_TOL,
-    STRICT_TOL,
-    FailedCondition,
-    PositivityReport,
-    _cluster_poles,
-    check_positive_siso,
-)
+from dstab.positivity import (POLE_TOL, STRICT_TOL, FailedCondition, PositivityReport, _cluster_poles,
+                              check_positive_siso)
 from dstab.regions import HalfPlaneRegion
 
 A1I_TOL = 1e-12        # relative tolerance for the vanishing cubic coefficient

@@ -28,15 +28,8 @@ from conftest import (
     random_positive_rational,
     random_source_coeffs,
 )
-from crosscheck import (
-    check_positive_second_order,
-    check_pr_real_matrix,
-    complex_routh_hurwitz_quadratic,
-    map_to_nu,
-    real_equiv,
-    rotate,
-    substitute_affine,
-)
+from crosscheck import (check_positive_second_order, check_pr_real_matrix, complex_routh_hurwitz_quadratic, map_to_nu,
+                        real_equiv, rotate, substitute_affine)
 from dstab import devices as dev
 from dstab.cpoly import CRational, roots
 from dstab.dstability import (
