@@ -404,28 +404,29 @@ def equilibrium_solve(
         raise NetworkError("power flow needs at least one droop-controlled source")
 
     u = np.full(n, float(nominal_voltage))
-    for _ in range(NEWTON_MAX_ITER):
-        r = power_flow_residual(Y, devices, u)
-        if float(np.max(np.abs(r))) < NEWTON_TOL:
-            break
-        J = np.array(Y.Y)
-        for k, dev in enumerate(devices):
-            if isinstance(dev, (EssBoostParams, EssBuckParams)):
-                J[k, :] = dev.R_d * Y.Y[k, :]
-                J[k, k] += 1.0
-            elif isinstance(dev, PvParams):
-                J[k, k] += dev.U_r_pv * dev.i_pv_star / (u[k] * u[k])
-            else:
-                J[k, k] -= dev.P / (u[k] * u[k])
-        try:
-            du = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"singular power-flow Jacobian: {exc}") from exc
-        u = u + du
-        if not np.all(np.isfinite(u)):
-            raise ConvergenceError("power-flow iteration diverged")
-    else:
-        raise ConvergenceError(f"power flow did not converge in {NEWTON_MAX_ITER} iterations")
+    with np.errstate(all="ignore"):  # a non-finite iterate raises below
+        for _ in range(NEWTON_MAX_ITER):
+            r = power_flow_residual(Y, devices, u)
+            if float(np.max(np.abs(r))) < NEWTON_TOL:
+                break
+            J = np.array(Y.Y)
+            for k, dev in enumerate(devices):
+                if isinstance(dev, (EssBoostParams, EssBuckParams)):
+                    J[k, :] = dev.R_d * Y.Y[k, :]
+                    J[k, k] += 1.0
+                elif isinstance(dev, PvParams):
+                    J[k, k] += dev.U_r_pv * dev.i_pv_star / (u[k] * u[k])
+                else:
+                    J[k, k] -= dev.P / (u[k] * u[k])
+            try:
+                du = np.linalg.solve(J, -r)
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceError(f"singular power-flow Jacobian: {exc}") from exc
+            u = u + du
+            if not np.all(np.isfinite(u)):
+                raise ConvergenceError("power-flow iteration diverged")
+        else:
+            raise ConvergenceError(f"power flow did not converge in {NEWTON_MAX_ITER} iterations")
 
     if np.any(u < 0.5 * nominal_voltage):
         raise ConvergenceError("power flow converged to a low-voltage solution; rejected")

@@ -242,9 +242,12 @@ def load_scenario(path: str | Path, region: Region | None = None) -> Scenario:
             f"simulation.t_end_s ({t_end!r}) must exceed the end of the disturbance pulse "
             f"({disturbance.start + disturbance.duration!r})"
         )
+    nominal = _num(raw, "nominal_voltage_volt", "scenario")
+    if nominal <= 0:
+        raise ScenarioError(f"nominal_voltage_volt must be a finite positive number, got {nominal!r}")
     return Scenario(
         name=str(raw.get("name", path.stem)),
-        nominal_voltage=_num(raw, "nominal_voltage_volt", "scenario"),
+        nominal_voltage=nominal,
         n_nodes=n_nodes,
         edges=edges,
         partition=partition,

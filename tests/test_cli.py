@@ -28,9 +28,13 @@ GENERIC_HALFPLANE = '{"kind":"halfplane","theta0":0.3,"omega0":0,"sigma0":-1}'
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+    """Exit code, stdout and stderr of ``main(argv)``.  Any warning but the
+    RK4 step warning would reach a user's stderr and fails the test."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(list(argv))
+    leaked = [str(w.message) for w in caught if "unstable for RK4" not in str(w.message)]
+    assert not leaked, leaked
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -334,11 +338,7 @@ class TestInputContract:
         # A huge capacitance underflows c1 to 0, which no source model admits.
         # The grid code reads no source model and is still broadcast.
         path = toy_variant(tmp_path, lambda raw: raw["devices"][0].update(C_farad=1e308))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main([*command, str(path)])
-        out, err = capsys.readouterr()
-        assert not caught
+        code, out, err = run(capsys, *command, str(path))
         if command == ["gridcode"]:
             assert code == 0 and err == ""
             return
@@ -347,6 +347,16 @@ class TestInputContract:
         assert len(lines) == 1
         error = json.loads(lines[0])
         assert error["error"] == "input" and "node 1" in error["message"]
+
+    @pytest.mark.parametrize("nominal, code", [(-100.0, 2), (-1e6, 2), (0.0, 2), (1e-300, 3), (1e300, 3)])
+    @pytest.mark.parametrize("command", ["check", "poles", "simulate"])
+    def test_nominal_voltage_without_equilibrium(self, capsys, tmp_path, nominal, code, command):
+        # A nonpositive value would disable the low-voltage guard; an extreme positive one diverges the
+        # Newton solve, which exits 3 without a numpy warning.
+        path = toy_variant(tmp_path, lambda raw: raw.update(nominal_voltage_volt=nominal, equilibrium=None))
+        got, out, err = run(capsys, command, str(path))
+        assert got == code and out == "" and len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == ("input" if code == 2 else "numerical")
 
     def test_disturbance_shape_other_than_pulse_exits_2(self, capsys, tmp_path):
         path = toy_variant(tmp_path, lambda raw: raw["disturbance"].update(shape="step"))
