@@ -1,15 +1,19 @@
-"""The report tooling: ``tools/report_diff.py`` separates moved floats from
-every other difference between two ``tools/cli_reports.py`` directories."""
+"""The tooling: ``tools/report_diff.py`` separates moved floats from every
+other difference between two ``tools/cli_reports.py`` directories, and the
+functions the benchmark traces exist."""
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-REPORT_DIFF = Path(__file__).resolve().parent.parent / "tools" / "report_diff.py"
+ROOT = Path(__file__).resolve().parent.parent
+REPORT_DIFF = ROOT / "tools" / "report_diff.py"
 REPORT = '{"certified":true,"parts":[{"margin":%s,"failed_condition":"%s"}]}\n'
 
 
@@ -48,3 +52,12 @@ def test_changed_verdict_or_exit_code_exits_1(tmp_path, change):
     code, out = report_diff(tmp_path, change)
     assert code == 1
     assert "differs" in out
+
+
+def test_benchmark_trace_targets_resolve():
+    # bench/run.py --trace 1 looks each traced function up by name.
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    bench_run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_run)
+    for name, (module, function) in bench_run.TRACED.items():
+        assert callable(getattr(importlib.import_module(module), function, None)), name
