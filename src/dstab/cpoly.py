@@ -2,7 +2,8 @@
 
 ``CPoly`` stores coefficients in ascending degree order; ``CRational`` keeps
 its denominator monic.  No pole-zero cancellation is ever performed
-implicitly -- cancellation can silently hide unstable hidden modes.
+implicitly -- cancellation can silently hide unstable hidden modes.  The
+s-domain chain and the 2x2 real embedding live in ``tests/crosscheck.py``.
 
 ``roots_rows`` takes the eigenvalues of the companion matrices that
 ``numpy.roots`` builds, a backward-stable root finder (Edelman & Murakami,

@@ -8,7 +8,8 @@ roots and the sign pattern between them -- no sampling), and (c) simple
 imaginary-axis poles with nonnegative real residues.  Rows are grouped by
 their (numerator, denominator) degrees and each group is decided in one
 vectorized numpy pass; every row's report depends on that row's
-coefficients alone.  ``check_positive_siso`` is its one-row call.
+coefficients alone.  ``check_positive_siso`` is its one-row call.  The
+tests compare it with the independent routes in ``tests/crosscheck.py``.
 """
 
 from __future__ import annotations
