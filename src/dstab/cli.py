@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .dstability import certify_thm1, certify_thm2, part_positivity, pole_margins
-from .errors import ConvergenceError, DivergenceError, DstabError, RootFindingError, ScenarioError
+from .errors import ConvergenceError, DivergenceError, DstabError, PrecisionError, RootFindingError, ScenarioError
 from .regions import region_from_spec, region_to_spec, parts
 from .scenario import build_model, grid_codes, indexed_model, load_scenario, resolve_equilibrium, synthesize
 from .sim import metrics, simulate
@@ -264,12 +264,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _rational_as_json(r) -> dict:
-    """Coefficient arrays [re, im] in ascending degree order."""
-    return {
-        "num": [[c.real, c.imag] for c in r.num.coeffs],
-        "den": [[c.real, c.imag] for c in r.den.coeffs],
-    }
+def _coeffs_as_json(row: list[complex]) -> list[list[float]]:
+    """A coefficient row as [re, im] pairs, ascending, zero padding dropped."""
+    while len(row) > 1 and row[-1] == 0:
+        row.pop()
+    return [[c.real, c.imag] for c in row]
 
 
 def cmd_positivity(args) -> int:
@@ -279,12 +278,13 @@ def cmd_positivity(args) -> int:
     all_ok = True
     for idx, part in enumerate(parts(model.region)):
         nodes = []
-        for k, (g_tilde, report) in enumerate(part_positivity(model, part, idx, reports[idx] if reports else None)):
+        num, den, positivity = part_positivity(model, part, idx, reports[idx] if reports else None)
+        for k, (n, d, report) in enumerate(zip(num.tolist(), den.tolist(), positivity)):
             all_ok = all_ok and report.is_positive
             nodes.append({
                 "node": k + 1,
                 **report.as_dict(),
-                "transfer_function": _rational_as_json(g_tilde),
+                "transfer_function": {"num": _coeffs_as_json(n), "den": _coeffs_as_json(d)},
             })
         payload["parts"].append({"region": region_to_spec(part), "devices": nodes})
     _emit(dumps(payload), args.out)
@@ -332,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as exc:
         sys.stderr.write(dumps({"error": "input", "message": str(exc)}) + "\n")
         return 2
-    except (ConvergenceError, DivergenceError, RootFindingError) as exc:
+    except (ConvergenceError, DivergenceError, PrecisionError, RootFindingError) as exc:
         sys.stderr.write(dumps({"error": "numerical", "message": str(exc)}) + "\n")
         return 3
     except DstabError as exc:

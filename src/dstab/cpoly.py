@@ -262,25 +262,3 @@ class CRational:
             raise PoleEvaluationError(f"evaluation at z = {z} is within tolerance of a pole")
         return self.num(z) / d
 
-
-def rationals_from_rows(num: np.ndarray, den: np.ndarray) -> list[CRational]:
-    """The functions num[i] / den[i] of coefficient rows that already obey
-    the trim rule, trimmed coefficients zeroed, with monic denominators:
-    built by dropping the zero padding, without trimming or scaling again."""
-    out = []
-    for n, d in zip(num.tolist(), den.tolist()):
-        while len(n) > 1 and n[-1] == 0:
-            n.pop()
-        while len(d) > 1 and d[-1] == 0:
-            d.pop()
-        r = object.__new__(CRational)
-        object.__setattr__(r, "num", _kept(tuple(n)))
-        object.__setattr__(r, "den", _kept(tuple(d)))
-        out.append(r)
-    return out
-
-
-def _kept(coeffs: tuple[complex, ...]) -> CPoly:
-    p = object.__new__(CPoly)
-    object.__setattr__(p, "coeffs", coeffs)
-    return p

@@ -23,8 +23,8 @@ from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
 
-from .cpoly import CRational, norms_and_degrees, rationals_from_rows
-from .errors import ConvergenceError, DegenerateLoopError, NetworkError
+from .cpoly import TRIM_TOL, CRational, norms_and_degrees
+from .errors import ConvergenceError, DegenerateLoopError, NetworkError, PrecisionError
 from .positivity import PositivityReport, check_positive_rows
 from .regions import HalfPlaneRegion, family
 
@@ -270,7 +270,11 @@ def loop_transform_rows(
 
     Rows hold ascending coefficients with monic denominators, zero-padded
     to one width per array.  Returns rows of that form, trimmed as
-    :class:`CRational` keeps them; row i depends on row i alone."""
+    :class:`CRational` keeps them; row i depends on row i alone.
+
+    A mapped denominator keeps its leading coefficient of modulus 1; one
+    whose coefficients reach 1 / TRIM_TOL would lose it to the trim rule
+    and one that overflows is not finite: both raise :class:`PrecisionError`."""
     if num.shape[1] > den.shape[1]:
         den = np.pad(den, ((0, 0), (0, num.shape[1] - den.shape[1])))
     a = cmath.exp(1j * region.theta0)
@@ -278,6 +282,8 @@ def loop_transform_rows(
     with np.errstate(all="ignore"):
         num = _compose_rows(np.asarray(num, dtype=complex), a, b) * a
         den = _compose_rows(np.asarray(den, dtype=complex), a, b)
+        if not (np.abs(den).max(initial=0.0) < 1.0 / TRIM_TOL):  # NaN trips it too
+            raise PrecisionError("region offset too large: the loop transform overflows or trims its leading term")
         den[:, : num.shape[1]] += np.asarray(rho, dtype=float)[:, None] * num
         return _monic(num, den)
 
@@ -285,7 +291,7 @@ def loop_transform_rows(
 def loop_transform(tf: CRational, region: HalfPlaneRegion, rho: float) -> CRational:
     """One subsystem through :func:`loop_transform_rows`."""
     num, den = loop_transform_rows(np.array([tf.num.coeffs]), np.array([tf.den.coeffs]), region, np.array([rho]))
-    return rationals_from_rows(num, den)[0]
+    return CRational.from_coeffs(num[0], den[0])
 
 
 def map_subsystem(tf: CRational, region: HalfPlaneRegion) -> CRational:
@@ -295,11 +301,10 @@ def map_subsystem(tf: CRational, region: HalfPlaneRegion) -> CRational:
 
 def loop_positivity(
     num: np.ndarray, den: np.ndarray, region: HalfPlaneRegion, rho: np.ndarray,
-) -> list[tuple[CRational, PositivityReport]]:
-    """Each row's loop-transformed function (:func:`loop_transform_rows`)
-    with its positivity report, decided in one batched pass."""
-    num, den = loop_transform_rows(num, den, region, rho)
-    return list(zip(rationals_from_rows(num, den), check_positive_rows(num, den)))
+) -> list[PositivityReport]:
+    """The positivity report of each row's loop-transformed function
+    (:func:`loop_transform_rows`), decided in one batched pass."""
+    return check_positive_rows(*loop_transform_rows(num, den, region, rho))
 
 
 def bound_lhp(g: GenericSecondOrder, alpha: float) -> tuple[bool, float]:
@@ -436,8 +441,8 @@ def equilibrium_solve(
 @dataclass(frozen=True)
 class ComplianceReport:
     """Outcome of checking one source device against a grid code;
-    ``function`` is the loop-transformed function whose positivity
-    ``positivity`` reports.  A broadcast the device cannot act on (a failed
+    ``positivity`` reports on its loop-transformed function at the index
+    it picked.  A broadcast the device cannot act on (a failed
     damping assumption, binding ``ll_assumption``, or a part without a
     closed-form synthesis bound, binding ``region_family``) is reported by
     its binding condition alone."""
@@ -450,7 +455,6 @@ class ComplianceReport:
     gamma_bar: float | None
     binding: str
     positivity: PositivityReport | None
-    function: CRational | None = None
 
     def as_dict(self) -> dict:
         if self.binding in ("ll_assumption", "region_family"):
@@ -468,9 +472,9 @@ class ComplianceReport:
 
 def _fleet_positivity(
     fleet: Sequence[GenericSecondOrder], region: HalfPlaneRegion, picks: dict[int, float],
-) -> dict[int, tuple[CRational, PositivityReport]]:
-    """Source i of ``fleet`` loop-transformed at index ``picks[i]``, with its
-    positivity report, for every picked source in one batched pass."""
+) -> dict[int, PositivityReport]:
+    """The positivity report of source i of ``fleet`` loop-transformed at
+    index ``picks[i]``, for every picked source in one batched pass."""
     if not picks:
         return {}
     chosen = [fleet[i] for i in picks]
@@ -503,8 +507,8 @@ def check_compliance(fleet: Sequence[GenericSecondOrder], grid_code: GridCode) -
             i: 0.0 for i, gb in enumerate(bars) if region.omega0 > gb and grid_code.admits(0.0)
         })
         return [
-            ComplianceReport(True, kind, 0.0, floor, None, gb, "none", decided[i][1], decided[i][0]) if i in decided
-            else ComplianceReport(False, kind, None, floor, None, gb, "frequency_bound", None, None)
+            ComplianceReport(True, kind, 0.0, floor, None, gb, "none", decided[i]) if i in decided
+            else ComplianceReport(False, kind, None, floor, None, gb, "frequency_bound", None)
             for i, gb in enumerate(bars)
         ]
 
@@ -532,13 +536,13 @@ def check_compliance(fleet: Sequence[GenericSecondOrder], grid_code: GridCode) -
         picks[i] = pick
 
     first = _fleet_positivity(fleet, region, picks)
-    backed = {i: y - max(1e-9, 1e-6 * abs(y)) for i, y in picks.items() if not first[i][1].is_positive}
+    backed = {i: y - max(1e-9, 1e-6 * abs(y)) for i, y in picks.items() if not first[i].is_positive}
     retry = _fleet_positivity(fleet, region, {i: y for i, y in backed.items() if grid_code.admits(y)})
-    for i, (function, report) in first.items():
+    for i, report in first.items():
         if report.is_positive:
-            reports[i] = ComplianceReport(True, kind, picks[i], floor, caps[i], None, "none", report, function)
-        elif i in retry and retry[i][1].is_positive:
-            reports[i] = ComplianceReport(True, kind, backed[i], floor, caps[i], None, "none", retry[i][1], retry[i][0])
+            reports[i] = ComplianceReport(True, kind, picks[i], floor, caps[i], None, "none", report)
+        elif i in retry and retry[i].is_positive:
+            reports[i] = ComplianceReport(True, kind, backed[i], floor, caps[i], None, "none", retry[i])
         else:
-            reports[i] = ComplianceReport(False, kind, None, floor, caps[i], None, "device", report, function)
+            reports[i] = ComplianceReport(False, kind, None, floor, caps[i], None, "device", report)
     return reports  # type: ignore[return-value]

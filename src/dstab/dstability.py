@@ -19,12 +19,12 @@ from typing import Sequence
 import numpy as np
 
 from .cpoly import CRational
-from .devices import ComplianceReport, GenericSecondOrder, index_cap, loop_positivity
+from .devices import ComplianceReport, GenericSecondOrder, index_cap, loop_transform_rows
 from .errors import NonProperError
 from .network import (
     AdmittanceMatrix, GridCode, check_rotated_psd, network_matrix, virtual_admittance_from_conductance,
 )
-from .positivity import PositivityReport
+from .positivity import PositivityReport, check_positive_rows
 from .regions import HalfPlaneRegion, Region, parts, region_to_spec
 
 
@@ -187,25 +187,24 @@ def _padded(coeffs: list[tuple[complex, ...]]) -> np.ndarray:
 def part_positivity(
     m: SystemModel, part: HalfPlaneRegion, part_index: int,
     compliance: Sequence[ComplianceReport] | None = None,
-) -> list[tuple[CRational, PositivityReport]]:
+) -> tuple[np.ndarray, np.ndarray, list[PositivityReport]]:
     """Every subsystem mapped into the nu-plane of ``part``, rotated by its
-    angle theta0 and closed through its loop-transform gain rho, with its
-    positivity report.  A source whose report in ``compliance`` (one part's,
-    per source) chose the index it carries here lends its function and
-    report: the same function, built by the same loop transform.  The other
-    subsystems are decided in one batched pass, their rows zero-padded to
-    one width."""
+    angle theta0 and closed through its loop-transform gain rho, in one
+    :func:`loop_transform_rows` call: the numerator and denominator rows,
+    zero-padded to one width, and each node's positivity report.  A source
+    whose report in ``compliance`` (one part's, per source) chose the index
+    it carries here lends its report, decided on the same row; the other
+    nodes are decided in one batched pass."""
     decided = {
-        k: (rep.function, rep.positivity)
+        k: rep.positivity
         for k, rep, y in zip(m.network.partition.source_ids, compliance or (), m.y_s_for_part(part_index))
         if rep.compliant and rep.y_s == y
     }
+    num, den = loop_transform_rows(_padded([g.num.coeffs for g in m.subsystems]),
+                                   _padded([g.den.coeffs for g in m.subsystems]), part, m.part_rho(part, part_index))
     nodes = [k for k in range(len(m.subsystems)) if k not in decided]
-    if nodes:
-        num = _padded([m.subsystems[k].num.coeffs for k in nodes])
-        den = _padded([m.subsystems[k].den.coeffs for k in nodes])
-        decided.update(zip(nodes, loop_positivity(num, den, part, m.part_rho(part, part_index)[nodes])))
-    return [decided[k] for k in range(len(m.subsystems))]
+    decided.update(zip(nodes, check_positive_rows(num[nodes], den[nodes])))
+    return num, den, [decided[k] for k in range(len(m.subsystems))]
 
 
 def _certify_part(
@@ -214,7 +213,7 @@ def _certify_part(
 ) -> PartCertificate:
     notes: list[str] = []
     y_s = m.y_s_for_part(part_index)
-    device_reports = [report for _, report in part_positivity(m, part, part_index, compliance)]
+    device_reports = part_positivity(m, part, part_index, compliance)[2]
 
     if theorem == "thm2":
         assert grid_code is not None

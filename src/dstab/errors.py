@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: scenario/input problems exit with 2,
-numerical failures (non-convergence, divergence) with 3.
+numerical failures (non-convergence, divergence, lost precision) with 3.
 """
 
 
@@ -33,8 +33,8 @@ class NotAPoleError(DstabError, ValueError):
     """Residue requested at a point that is not a denominator root."""
 
 
-class NotSimplePoleError(DstabError, ValueError):
-    """Residue requested at a pole of multiplicity greater than one."""
+class PrecisionError(DstabError, ArithmeticError):
+    """Coefficients overflowed or spread too wide for double precision."""
 
 
 class NetworkError(DstabError, ValueError):

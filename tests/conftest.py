@@ -10,7 +10,6 @@ assignment.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 import pytest

@@ -15,12 +15,17 @@ import numpy as np
 
 from dstab.cpoly import CLUSTER_TOL, CPoly, CRational, cluster_roots, roots
 from dstab.devices import CplParams, cpl_conductance
-from dstab.errors import DegenerateLoopError, DstabError, NonProperError, NotAPoleError, NotSimplePoleError
+from dstab.errors import DegenerateLoopError, DstabError, NonProperError, NotAPoleError
 from dstab.positivity import (POLE_TOL, STRICT_TOL, FailedCondition, PositivityReport, _cluster_poles,
                               check_positive_siso)
 from dstab.regions import HalfPlaneRegion
 
 A1I_TOL = 1e-12        # relative tolerance for the vanishing cubic coefficient
+
+
+class NotSimplePoleError(DstabError, ValueError):
+    """Residue requested at a pole of multiplicity greater than one."""
+
 
 # Sampled frequency condition of check_pr_real_matrix: w = 0 plus a
 # logarithmic base grid over [1e-3, 1e6] rad/s, each local minimum refined by

@@ -15,7 +15,6 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from conftest import (
     assert_rational_close,

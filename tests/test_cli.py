@@ -54,6 +54,20 @@ def toy_variant(tmp_path, mutate) -> Path:
     return target
 
 
+def count_positivity_rows(patch) -> list[int]:
+    """Record the row count of every batched positivity decision: those of
+    check_compliance (dstab.devices) and of part_positivity
+    (dstab.dstability)."""
+    import dstab.devices as dev
+    import dstab.dstability as dstability
+
+    rows = []
+    check = dev.check_positive_rows
+    for module in (dev, dstability):
+        patch.setattr(module, "check_positive_rows", lambda num, den: rows.append(len(num)) or check(num, den))
+    return rows
+
+
 class TestPoles:
     def test_toy_has_five_poles(self, capsys):
         code, out, _ = run(capsys, "poles", TOY)
@@ -188,11 +202,7 @@ class TestCheck:
         # reuses each compliant source's check, so every node and part is
         # decided once (39 nodes x 3 parts on the ieee39 grids).  Rows are
         # decided in batches; count the rows, not the calls.
-        import dstab.devices as dev
-
-        rows = []
-        check = dev.check_positive_rows
-        monkeypatch.setattr(dev, "check_positive_rows", lambda num, den: rows.append(len(num)) or check(num, den))
+        rows = count_positivity_rows(monkeypatch)
         code, _, _ = run(capsys, "check", str(DATA / f"{name}.json"), "--theorem", theorem)
         assert code in (0, 1)
         assert sum(rows) == expected
@@ -357,6 +367,37 @@ class TestInputContract:
         got, out, err = run(capsys, command, str(path))
         assert got == code and out == "" and len(err.splitlines()) == 1
         assert json.loads(err)["error"] == ("input" if code == 2 else "numerical")
+
+    @pytest.mark.parametrize("command, region", [
+        pytest.param(command, region, id=f"{name}-{kind}")
+        for kind, region in (("lhp", '{"kind":"lhp","alpha":-1e160}'), ("hstrip", '{"kind":"hstrip","gamma":1e160}'))
+        for name, command in (("check1", ["check", "--theorem", "1"]), ("check2", ["check", "--theorem", "2"]),
+                              ("positivity", ["positivity"]), ("synthesize", ["synthesize"]))
+        if name != "synthesize" or kind == "hstrip"  # no shifted LHP this far out is feasible to synthesize
+    ])
+    def test_overflowing_loop_transform_exits_3(self, capsys, command, region):
+        # The mapped coefficients overflow: a numerical failure, not a degenerate input loop.
+        code, out, err = run(capsys, *command, TOY, "--region", region)
+        assert code == 3 and out == "" and len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "numerical"
+
+    @pytest.mark.parametrize("alpha", [-1e10, -1e15, -1e50])
+    def test_region_offset_beyond_double_precision_exits_3(self, capsys, tmp_path, alpha):
+        # Past |alpha| ~ 1e7 the trim rule would drop the mapped denominator's leading 1 and past ~2e14
+        # its 2 alpha term too, leaving sources without poles that pass positivity in a region the
+        # pole oracle refutes.
+        def sources_only(raw):
+            raw["devices"][2] = {**raw["devices"][1], "node": 3}
+            raw["topology"].update(sources=[1, 2, 3], loads=[])
+            raw.update(equilibrium=None, disturbance=None, y_s=[[0, 0, 0]])
+
+        path = str(toy_variant(tmp_path, sources_only))
+        region = json.dumps({"kind": "lhp", "alpha": alpha})
+        code, out, err = run(capsys, "check", path, "--theorem", "1", "--region", region)
+        assert code == 3 and out == "" and len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "numerical"
+        code, out, _ = run(capsys, "poles", path, "--region", region)
+        assert code == 0 and max(float(line.split(",")[2]) for line in out.splitlines()[1:]) < 0.9 * alpha
 
     def test_disturbance_shape_other_than_pulse_exits_2(self, capsys, tmp_path):
         path = toy_variant(tmp_path, lambda raw: raw["disturbance"].update(shape="step"))
@@ -592,16 +633,12 @@ class TestPositivityCmd:
         # synthesized index, and positivity reuses each compliant source's
         # check, so every node and part is decided once (rows counted over
         # the batched calls); with a pinned y_s, both use the pinned index.
-        import dstab.devices as dev
-
         if name == "toy3-pinned":
             path = str(toy_variant(tmp_path, lambda raw: raw.update(y_s=[[0.1, 0.2]])))
         else:
             path = str(DATA / f"{name}.json")
-        rows = []
-        check = dev.check_positive_rows
         with monkeypatch.context() as patch:
-            patch.setattr(dev, "check_positive_rows", lambda num, den: rows.append(len(num)) or check(num, den))
+            rows = count_positivity_rows(patch)
             code_pos, pos, _ = run(capsys, "positivity", path)
         _, cert, _ = run(capsys, "check", path, "--theorem", "1")
         cert_parts = json.loads(cert)["parts"]
@@ -615,6 +652,32 @@ class TestPositivityCmd:
             all_positive = all_positive and all(d["is_positive"] for d in reports)
         assert code_pos == (0 if all_positive else 1)
         assert sum(rows) == sum(len(p["devices"]) for p in pos_parts)
+
+    @pytest.mark.parametrize("name", ["toy3", "ieee39_default", "ieee39_synthesized", "toy3-pinned"])
+    def test_transfer_function_is_the_one_row_loop_transform(self, capsys, tmp_path, name):
+        # Every node's function, lent by a compliant source or decided in the batch, is the one-row
+        # loop transform of its subsystem at the node's gain rho, printed coefficient for coefficient.
+        from dstab.devices import loop_transform
+        from dstab.regions import parts
+        from dstab.scenario import indexed_model, load_scenario, resolve_equilibrium
+
+        if name == "toy3-pinned":
+            path = str(toy_variant(tmp_path, lambda raw: raw.update(y_s=[[0.1, 0.2]])))
+        else:
+            path = str(DATA / f"{name}.json")
+        sc = load_scenario(path)
+        model, _ = indexed_model(sc, resolve_equilibrium(sc))
+        code, out, _ = run(capsys, "positivity", path)
+        assert code in (0, 1)
+        payload = json.loads(out)["parts"]
+        assert len(payload) == len(parts(model.region))
+        for index, (part, printed) in enumerate(zip(parts(model.region), payload)):
+            expected = []
+            for g, rho in zip(model.subsystems, model.part_rho(part, index)):
+                f = loop_transform(g, part, rho)
+                expected.append({"num": [[c.real, c.imag] for c in f.num.coeffs],
+                                 "den": [[c.real, c.imag] for c in f.den.coeffs]})
+            assert [d["transfer_function"] for d in printed["devices"]] == json.loads(dumps(expected))
 
     @pytest.mark.parametrize("command", [["positivity"], ["check", "--theorem", "1"], ["check", "--theorem", "2"]])
     def test_region_without_closed_form_bound_gives_a_verdict(self, capsys, command):

@@ -15,12 +15,12 @@ from conftest import (
     random_cpoly,
     random_crational,
 )
-from crosscheck import compose_linear, feedback, real_equiv, residue_at, rotate, substitute_affine
+from crosscheck import (NotSimplePoleError, compose_linear, feedback, real_equiv, residue_at, rotate,
+                        substitute_affine)
 from dstab.cpoly import CPoly, CRational, cluster_roots, roots
 from dstab.errors import (
     DegenerateLoopError,
     NotAPoleError,
-    NotSimplePoleError,
     PoleEvaluationError,
     RootFindingError,
 )

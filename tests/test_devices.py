@@ -12,7 +12,7 @@ from conftest import assert_rational_close, random_source_coeffs
 from crosscheck import feedback, modified_cpl, rotate, substitute_affine
 from dstab import devices as dev
 from dstab.cpoly import CRational, roots
-from dstab.errors import ConvergenceError
+from dstab.errors import ConvergenceError, PrecisionError
 from dstab.network import NodePartition, build_admittance, grid_code, virtual_admittance_from_conductance
 from dstab.positivity import FailedCondition, PositivityReport, check_positive_siso
 from dstab.regions import HalfPlaneRegion, horizontal_strip, sector, shifted_lhp
@@ -201,6 +201,21 @@ class TestModifiedSource:
             path1 = dev.loop_transform(g.tf, region, -y_s)
             path2 = feedback(rotate(substitute_affine(g.tf, a, b), region.theta0), -y_s)
             assert_rational_close(path1, path2, tol=1e-10)
+
+    @pytest.mark.parametrize("region", [shifted_lhp(-2e7), shifted_lhp(-1e15), shifted_lhp(-1e50),
+                                        shifted_lhp(-1e160), horizontal_strip(1e160)],
+                             ids=["lhp-2e7", "lhp-1e15", "lhp-1e50", "lhp-1e160", "hstrip-1e160"])
+    def test_offset_beyond_double_precision_raises(self, region):
+        # The mapped denominator [a^2 + d1 a + d0, 2a + d1, 1] keeps its leading 1 only while its
+        # coefficients stay below 1 / TRIM_TOL; past that the trim rule would drop it (and, past
+        # |a| ~ 2e14, the 2a term too), leaving a function with fewer poles, or none.
+        g = dev.coeffs_ess_buck(BUCK)
+        with pytest.raises(PrecisionError):
+            dev.loop_transform(g.tf, region, 0.0)
+
+    def test_offset_within_double_precision_keeps_the_degree(self):
+        g = dev.coeffs_ess_buck(BUCK)
+        assert dev.loop_transform(g.tf, shifted_lhp(-1e6), 0.0).den.degree == 2
 
 
 class TestBounds:
@@ -397,7 +412,7 @@ class TestCompliance:
             out = decide(num, den, region, rho)
             if len(batches) > failing:
                 return out
-            return [(f, PositivityReport(False, FailedCondition.REAL_PART, ((0j, -1 + 0j),), -1.0)) for f, _ in out]
+            return [PositivityReport(False, FailedCondition.REAL_PART, ((0j, -1 + 0j),), -1.0) for _ in out]
 
         monkeypatch.setattr(dev, "loop_positivity", faulty)
         return batches
@@ -414,7 +429,6 @@ class TestCompliance:
         assert rep.y_s == backed
         retried = dev.loop_transform(g.tf, gc.region, -backed)
         assert rep.positivity == check_positive_siso(retried) and rep.positivity.is_positive
-        assert rep.function == retried
 
     def test_failed_retry_reports_the_pick(self, monkeypatch):
         gc = self._setup(shifted_lhp(-2.0))
@@ -426,7 +440,6 @@ class TestCompliance:
         assert not rep.compliant and rep.binding == "device" and rep.y_s is None
         assert rep.positivity.failed_condition is FailedCondition.REAL_PART
         assert rep.positivity.witnesses == ((0j, -1 + 0j),)
-        assert rep.function == dev.loop_transform(g.tf, gc.region, -pick)
 
     def test_failed_damping_binds_before_the_region_family(self):
         gc = self._setup(HalfPlaneRegion(theta0=0.3, omega0=0.0, sigma0=-20000.0))

@@ -12,7 +12,7 @@ from conftest import random_crational, random_positive_rational, random_source_c
 from crosscheck import (check_positive_second_order, check_pr_real_matrix, complex_routh_hurwitz_quadratic, real_equiv,
                         rotate)
 from dstab.cpoly import CPoly, CRational
-from dstab.devices import GenericSecondOrder, loop_transform
+from dstab.devices import loop_transform
 from dstab.errors import NonProperError
 from dstab.positivity import FailedCondition, check_positive_siso, real_part_numerator_rows
 from dstab.regions import sector, shifted_lhp

@@ -1,9 +1,11 @@
 """The tooling: ``tools/report_diff.py`` separates moved floats from every
-other difference between two ``tools/cli_reports.py`` directories, and the
-functions the benchmark traces exist."""
+other difference between two ``tools/cli_reports.py`` directories, the
+functions the benchmark traces exist, and no module imports a name it never
+reads."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import subprocess
@@ -61,3 +63,31 @@ def test_benchmark_trace_targets_resolve():
     spec.loader.exec_module(bench_run)
     for name, (module, function) in bench_run.TRACED.items():
         assert callable(getattr(importlib.import_module(module), function, None)), name
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names a module imports at any depth but never loads."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # dstab/__init__.py imports to re-export; every other module reads what it imports.
+    modules = [p for d in ("src/dstab", "tests", "tools") for p in sorted((ROOT / d).glob("*.py"))
+               if p != ROOT / "src" / "dstab" / "__init__.py"]
+    assert len(modules) > 20
+    assert {str(p.relative_to(ROOT)): names for p in modules if (names := unused_imports(p))} == {}
+
+
+def test_unused_import_scan_sees_every_import_form(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+                      "from math import pi, tau as t\n\ndef f():\n    import sys\n    return np.pi + pi\n")
+    assert unused_imports(module) == ["os", "sys", "t"]
