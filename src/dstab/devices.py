@@ -274,17 +274,28 @@ def loop_transform_rows(
 
     A mapped denominator keeps its leading coefficient of modulus 1; one
     whose coefficients reach 1 / TRIM_TOL would lose it to the trim rule
-    and one that overflows is not finite: both raise :class:`PrecisionError`."""
+    and one that overflows is not finite: both raise :class:`PrecisionError`.
+    So does a closed denominator den + rho num whose coefficients reach
+    1 / TRIM_TOL times the moduli of the two terms that sum to its leading
+    coefficient: for a strictly proper row that is the open lead of modulus
+    1, while a biproper row may cancel its lead and drop a degree."""
     if num.shape[1] > den.shape[1]:
         den = np.pad(den, ((0, 0), (0, num.shape[1] - den.shape[1])))
     a = cmath.exp(1j * region.theta0)
     b = a * region.sigma0 + 1j * region.omega0
+    rho = np.asarray(rho, dtype=float)
     with np.errstate(all="ignore"):
         num = _compose_rows(np.asarray(num, dtype=complex), a, b) * a
         den = _compose_rows(np.asarray(den, dtype=complex), a, b)
         if not (np.abs(den).max(initial=0.0) < 1.0 / TRIM_TOL):  # NaN trips it too
             raise PrecisionError("region offset too large: the loop transform overflows or trims its leading term")
-        den[:, : num.shape[1]] += np.asarray(rho, dtype=float)[:, None] * num
+        rows, deg = np.arange(len(den)), norms_and_degrees(den)[1]
+        lead = np.abs(den[rows, deg])
+        biproper = deg < num.shape[1]
+        lead[biproper] += np.abs(rho[biproper] * num[rows[biproper], deg[biproper]])
+        den[:, : num.shape[1]] += rho[:, None] * num
+        if not (np.abs(den).max(axis=1, initial=0.0) < lead / TRIM_TOL).all():
+            raise PrecisionError("loop gain too large: the loop closure overflows or trims its leading term")
         return _monic(num, den)
 
 

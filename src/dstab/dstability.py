@@ -149,22 +149,27 @@ def _realization(g: CRational) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def assemble_closed_loop(m: SystemModel) -> np.ndarray:
-    """Closed-loop state matrix A - B Y C of the interconnection u = -Y y."""
+    """Closed-loop state matrix A - B Y C of the interconnection u = -Y y.
+
+    In the controllable canonical form B is e_last per node and C is each
+    node's numerator row, so B Y C is zero but in each node's last state
+    row, whose entry j is Y[node, node of state j] * c[j]: one product per
+    entry, the bits the dense product gives."""
     blocks = [_realization(g) for g in m.subsystems]
     dims = [a.shape[0] for a, _, _ in blocks]
     n_states = sum(dims)
-    n = len(blocks)
     A = np.zeros((n_states, n_states))
-    B = np.zeros((n_states, n))
-    C = np.zeros((n, n_states))
+    c_full = np.zeros(n_states)
     offset = 0
-    for k, (a, b, c) in enumerate(blocks):
-        d = dims[k]
+    for a, _, c in blocks:
+        d = a.shape[0]
         A[offset : offset + d, offset : offset + d] = a
-        B[offset : offset + d, k] = b[:, 0]
-        C[k, offset : offset + d] = c[0, :]
+        c_full[offset : offset + d] = c[0, :]
         offset += d
-    return A - B @ m.network.Y @ C
+    node_of_state = np.repeat(np.arange(len(blocks)), dims)
+    # + 0.0: a zero product enters as +0.0, as the dense product's sum has it
+    A[np.cumsum(dims) - 1] -= m.network.Y[:, node_of_state] * c_full + 0.0
+    return A
 
 
 def closed_loop_poles(m: SystemModel) -> list[complex]:

@@ -2,7 +2,8 @@
 compared by the tests against the production function it checks: the
 sampled 2x2 real embedding (criterion 2), the closed-form quadratic
 (criterion 3), the s-domain substitute/rotate/feedback chain and the point
-maps (criterion 4), and the closed-form loop-transformed load.
+maps (criterion 4), the closed-form loop-transformed load, the dense
+closed-loop assembly and the eigenvalue-only RK4 step warning.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 
 from dstab.cpoly import CLUSTER_TOL, CPoly, CRational, cluster_roots, roots
 from dstab.devices import CplParams, cpl_conductance
+from dstab.dstability import SystemModel, _realization
 from dstab.errors import DegenerateLoopError, DstabError, NonProperError, NotAPoleError
 from dstab.positivity import (POLE_TOL, STRICT_TOL, FailedCondition, PositivityReport, _cluster_poles,
                               check_positive_siso)
@@ -374,3 +376,38 @@ def check_pr_real_matrix(M: RealRationalMatrix2x2) -> PositivityReport:
         )
     return PositivityReport(True, FailedCondition.NONE, (), margin)
 
+
+
+# ---------------------------------------------------------------------------
+# closed-loop state matrix and the RK4 step warning of `simulate`
+
+def assemble_closed_loop_dense(m: SystemModel) -> np.ndarray:
+    """A - B Y C from the dense block-diagonal realization matrices."""
+    blocks = [_realization(g) for g in m.subsystems]
+    dims = [a.shape[0] for a, _, _ in blocks]
+    n_states = sum(dims)
+    n = len(blocks)
+    A = np.zeros((n_states, n_states))
+    B = np.zeros((n_states, n))
+    C = np.zeros((n, n_states))
+    offset = 0
+    for k, (a, b, c) in enumerate(blocks):
+        d = dims[k]
+        A[offset : offset + d, offset : offset + d] = a
+        B[offset : offset + d, k] = b[:, 0]
+        C[k, offset : offset + d] = c[0, :]
+        offset += d
+    return A - B @ m.network.Y @ C
+
+
+def rk4_step_warning(a_cl: np.ndarray, dt: float) -> str | None:
+    """The message `simulate` warns with at step ``dt``, from every
+    eigenvalue of ``a_cl``: one RK4 step multiplies a mode by R(dt*lambda),
+    and a decaying mode with |R| > 1 grows.  None when no mode does."""
+    z = dt * np.linalg.eigvals(a_cl)
+    gain = np.abs(1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4))))
+    amplified = (z.real < 0) & (gain > 1)
+    if not np.any(amplified):
+        return None
+    return (f"step dt = {dt:.3g} s is unstable for RK4: a decaying mode has "
+            f"|R(dt*eig)| = {float(np.max(gain[amplified])):.4g} > 1")

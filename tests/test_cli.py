@@ -399,6 +399,23 @@ class TestInputContract:
         code, out, _ = run(capsys, "poles", path, "--region", region)
         assert code == 0 and max(float(line.split(",")[2]) for line in out.splitlines()[1:]) < 0.9 * alpha
 
+    @pytest.mark.parametrize("command", [["check", "--theorem", "1"], ["check", "--theorem", "2"], ["positivity"]],
+                             ids=["check1", "check2", "positivity"])
+    def test_source_index_beyond_double_precision_exits_3(self, capsys, tmp_path, command):
+        # Each source closes to s^2 + (d1 - y c1) s + (d0 - y c0), with a root near +y c1.  Past
+        # y ~ 1e11 the trim rule would drop the leading 1 and report both sources positive.
+        path = toy_variant(tmp_path, lambda raw: raw.update(y_s=[[1e13, 1e13]]))
+        code, out, err = run(capsys, *command, str(path))
+        assert code == 3 and out == "" and len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "numerical"
+        path = toy_variant(tmp_path, lambda raw: raw.update(y_s=[[1e8, 1e8]]))
+        code, out, _ = run(capsys, *command, str(path))
+        assert code == 1
+        reports = json.loads(out)
+        devices = reports["parts"][0]["devices"] if "parts" in reports else reports["devices"]
+        assert [d["is_positive"] for d in devices[:2]] == [False, False]
+        assert max(d["margin"] for d in devices[:2]) < -1e10
+
     def test_disturbance_shape_other_than_pulse_exits_2(self, capsys, tmp_path):
         path = toy_variant(tmp_path, lambda raw: raw["disturbance"].update(shape="step"))
         code, _, err = run(capsys, "simulate", str(path))
@@ -437,6 +454,34 @@ FUZZ_LEAVES = DIVISOR_LEAVES * 5 + TOY_LEAVES
 EXTREMES = [0, 1e-300, -1e-300, 1e308, -1e308, 1e12, -1e12, -1, 0.5, math.nan, math.inf, -math.inf]
 FUZZ_COMMANDS = [["check", "--theorem", "1"], ["check", "--theorem", "2"], ["poles"], ["gridcode"],
                  ["synthesize"], ["positivity"]]
+
+
+# Every positive device constant of toy3 as (1-based node, field), and the
+# extremes that make a node's device invalid rather than merely extreme: a
+# boost source needs E < U_r, and C = 1e308 underflows its c1 to 0.
+DEVICE_CONSTANTS = [(device["node"], key) for device in TOY_RAW["devices"]
+                    for key, value in device.items() if key not in ("node", "type")]
+INVALID_DEVICE = {(1, "C_farad", 1e308), (1, "E_volt", 1e308), (1, "U_r_volt", 1e-300)}
+
+
+class TestExtremeDeviceConstants:
+    @pytest.mark.parametrize("value", [1e308, 1e-300])
+    @pytest.mark.parametrize("node, key", DEVICE_CONSTANTS, ids=[f"node{k}-{key}" for k, key in DEVICE_CONSTANTS])
+    @pytest.mark.parametrize("command", FUZZ_COMMANDS[:3] + FUZZ_COMMANDS[4:] + [["simulate"]],
+                             ids=["check1", "check2", "poles", "synthesize", "positivity", "simulate"])
+    def test_ends_in_its_exit_code(self, capsys, tmp_path, command, node, key, value):
+        path = toy_variant(tmp_path, lambda raw: raw["devices"][node - 1].update({key: value}))
+        extra = ["--out", str(tmp_path / "sim")] if command == ["simulate"] else []
+        code, _, err = run(capsys, *command, str(path), *extra)
+        lines = err.splitlines()
+        if (node, key, value) in INVALID_DEVICE:
+            assert code == 2 and len(lines) == 1
+            error = json.loads(lines[0])
+            assert error["error"] == "input" and f"node {node}" in error["message"]
+            return
+        assert code in (0, 1, 2, 3)
+        if code >= 2:
+            assert len(lines) == 1 and json.loads(lines[0])["error"] != "internal"
 
 
 class TestFuzzedInput:

@@ -217,6 +217,25 @@ class TestModifiedSource:
         g = dev.coeffs_ess_buck(BUCK)
         assert dev.loop_transform(g.tf, shifted_lhp(-1e6), 0.0).den.degree == 2
 
+    @pytest.mark.parametrize("y_s", [1e12, 1e13, 1e20])
+    def test_loop_gain_beyond_double_precision_raises(self, y_s):
+        # The closed denominator s^2 + (d1 - y_s c1) s + (d0 - y_s c0) keeps its leading 1 only while
+        # its coefficients stay below 1 / TRIM_TOL.
+        g = dev.coeffs_ess_buck(BUCK)
+        with pytest.raises(PrecisionError, match="loop gain"):
+            dev.loop_transform(g.tf, shifted_lhp(-2.0), -y_s)
+
+    def test_loop_gain_within_double_precision_keeps_the_degree(self):
+        g = dev.coeffs_ess_buck(BUCK)
+        assert dev.loop_transform(g.tf, shifted_lhp(-2.0), -1e8).den.degree == 2
+
+    def test_biproper_loop_bound_is_relative_to_the_lead(self):
+        # (s + 1) / (s + 2) closes to (s + 1) / ((1 + rho) s + 2 + rho): a huge gain scales the
+        # lead with the row, and rho = -1 cancels it exactly, dropping a degree.
+        g = CRational.from_coeffs([1.0, 1.0], [2.0, 1.0])
+        assert dev.loop_transform(g, shifted_lhp(0.0), 1e20).den.degree == 1
+        assert dev.loop_transform(g, shifted_lhp(0.0), -1.0).den.degree == 0
+
 
 class TestBounds:
     def test_lhp_example(self):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from conftest import (
     random_mild_subsystem,
     random_source_coeffs,
 )
-from crosscheck import map_to_nu, substitute_affine
+from crosscheck import assemble_closed_loop_dense, map_to_nu, substitute_affine
 from dstab import devices as dev
 from dstab.cli import dumps
 from dstab.cpoly import CRational, roots
@@ -39,6 +41,11 @@ from dstab.regions import (
 from dstab.scenario import (
     build_model, chosen_indices, compliance, data_path, grid_codes, load_scenario, resolve_equilibrium,
 )
+
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import meshgen  # noqa: E402
 
 
 def integrator() -> CRational:
@@ -105,6 +112,27 @@ class TestAssembly:
         poles = closed_loop_poles(SystemModel(subs, Y, shifted_lhp(0.0)))
         conj = [p.conjugate() for p in poles]
         assert match_distance(poles, conj) < 1e-9
+
+    @pytest.mark.parametrize("source", ["toy3", "ieee39_default", "ieee39_synthesized", (64, 1), (200, 1)],
+                             ids=["toy3", "ieee39_default", "ieee39_synthesized", "mesh-n64-s1", "mesh-n200-s1"])
+    def test_structured_assembly_is_the_dense_product(self, tmp_path, source):
+        if isinstance(source, str):
+            path = data_path(source)
+        else:
+            path = meshgen.write_scenario(meshgen.mesh_scenario(*source), tmp_path / "mesh.json")
+        m = build_model(load_scenario(path))
+        assert np.array_equal(assemble_closed_loop(m), assemble_closed_loop_dense(m))
+
+    def test_structured_assembly_with_degree_one_node_and_zero_coefficient(self):
+        # 2s / (s^2 + 3s + 1) has an exact zero constant coefficient; 1 / (s + 4) has one state.
+        part = NodePartition((0, 1), (2,))
+        Y = build_admittance([(0, 2, 0.1), (1, 2, 0.25)], 3, part)
+        subs = (CRational.from_coeffs([0.0, 2.0], [1.0, 3.0, 1.0]), CRational.from_coeffs([1.0], [4.0, 1.0]),
+                CRational.from_coeffs([0.5, -1.5], [2.0, 0.5, 1.0]))
+        m = SystemModel(subs, Y, shifted_lhp(0.0))
+        a_cl = assemble_closed_loop(m)
+        assert a_cl.shape == (5, 5)
+        assert np.array_equal(a_cl, assemble_closed_loop_dense(m))
 
 
 class TestOracleConsistency:

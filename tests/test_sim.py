@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from crosscheck import rk4_step_warning
 from dstab import devices as dev
+from dstab import sim
 from dstab.dstability import SystemModel, assemble_closed_loop, closed_loop_poles
 from dstab.errors import DivergenceError, DstabError
 from dstab.network import NodePartition, build_admittance
@@ -206,6 +209,103 @@ class TestSimulate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             simulate(build_model(sc), sc.disturbance, t_end=sc.t_end, dt=sc.dt)
+
+
+def rk4_gain(z: np.ndarray) -> np.ndarray:
+    """|R(z)| of the RK4 stability polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24."""
+    return np.abs(1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4))))
+
+
+def caught_warnings(model: SystemModel, node: int, dt: float) -> list[str]:
+    """The messages `simulate` warns with over two steps of size ``dt``."""
+    d = DisturbanceSpec(node=node, magnitude=0.01, start=0.0, duration=dt)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        simulate(model, d, t_end=2 * dt, dt=dt)
+    return [str(w.message) for w in caught]
+
+
+class TestStepWarning:
+    """`simulate` takes the eigenvalues only when the Collatz-Wielandt bound
+    on the spectral radius of dt*A leaves the half-disc where |R| <= 1."""
+
+    def test_half_disc_arc(self):
+        # Max modulus of R on the left arc |z| = 2.6, sampled with a spacing h;
+        # |R'| <= 1 + r + r^2/2 + r^3/6 on the arc bounds R between samples.
+        r = sim._RK4_DISC
+        phi = np.linspace(math.pi / 2, 3 * math.pi / 2, 100_001)
+        h = r * (phi[1] - phi[0])
+        lipschitz = 1 + r + r**2 / 2 + r**3 / 6
+        assert float(np.max(rk4_gain(r * np.exp(1j * phi)))) + lipschitz * h / 2 <= 1.0
+        # ... and the disc ends near the true radius, about 2.6156, where |R| reaches 1
+        assert float(np.max(rk4_gain(2.616 * np.exp(1j * phi)))) > 1.0
+
+    def test_half_disc_imaginary_axis(self):
+        # |R(iy)|^2 = (1 - y^2/2 + y^4/24)^2 + (y - y^3/6)^2 = 1 - y^6/72 + y^8/576, exactly.
+        def times(p, q):
+            out = [Fraction(0)] * (len(p) + len(q) - 1)
+            for i, a in enumerate(p):
+                for j, b in enumerate(q):
+                    out[i + j] += a * b
+            return out
+
+        re = [Fraction(1), 0, Fraction(-1, 2), 0, Fraction(1, 24)]
+        im = [0, Fraction(1), 0, Fraction(-1, 6)]
+        square = [a + b for a, b in zip(times(re, re), times(im, im) + [0, 0])]
+        assert square == [1, 0, 0, 0, 0, 0, Fraction(-1, 72), 0, Fraction(1, 576)]
+        # so |R(iy)| <= 1 exactly while y^8/576 <= y^6/72, that is y^2 <= 8
+        assert Fraction(sim._RK4_DISC) ** 2 <= 8
+
+    def test_bound_holds_on_random_matrices(self, rng):
+        for n in (1, 2, 5, 40):
+            for _ in range(20):
+                a = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3, (n, n))
+                a[rng.random((n, n)) < 0.3] = 0.0
+                assert sim._spectral_radius_bound(a) >= float(np.max(np.abs(np.linalg.eigvals(a))))
+        assert sim._spectral_radius_bound(np.zeros((3, 3))) == 0.0
+        assert sim._spectral_radius_bound(np.array([[0.0, 1.0], [0.0, 0.0]])) >= 0.0
+
+    @pytest.mark.parametrize("name", ["toy3", "ieee39_synthesized"])
+    def test_warning_is_the_eigenvalue_decision(self, name, monkeypatch):
+        from dstab.scenario import build_model, data_path, load_scenario
+
+        sc = load_scenario(data_path(name))
+        model = build_model(sc)
+        a_cl = assemble_closed_loop(model)
+        rho = float(np.max(np.abs(np.linalg.eigvals(a_cl))))
+        eig_calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: eig_calls.append(a.shape) or eigvals(a))
+        paths = set()
+        for z_max in np.geomspace(0.3, 4.0, 40):
+            dt = float(z_max / rho)
+            expected = rk4_step_warning(a_cl, dt)
+            before = len(eig_calls)
+            assert caught_warnings(model, sc.disturbance.node, dt) == ([expected] if expected else [])
+            paths.add((len(eig_calls) > before, expected is not None))
+        # the sweep decides by the bound alone, by eigenvalues without a warning (ieee39) and with one
+        assert {(False, False), (True, True)} <= paths
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_matrix_takes_the_eigenvalue_path(self, toy_model, monkeypatch, bad):
+        a_cl = assemble_closed_loop(toy_model)
+        a_cl[1, 2] = bad
+        monkeypatch.setattr(sim, "assemble_closed_loop", lambda m: a_cl.copy())
+        d = DisturbanceSpec(node=2, magnitude=0.01, start=0.05, duration=0.02)
+        with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+            simulate(toy_model, d, t_end=0.1, dt=1e-4)
+
+    def test_shipped_step_needs_no_eigenvalues(self, monkeypatch):
+        from dstab.scenario import build_model, data_path, load_scenario
+
+        sc = load_scenario(data_path("ieee39_synthesized"))
+        model = build_model(sc)
+
+        def refused(a):
+            raise AssertionError("eigvals called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refused)
+        assert caught_warnings(model, sc.disturbance.node, sc.dt) == []
 
 
 class TestMetrics:

@@ -1,13 +1,16 @@
 """The tooling: ``tools/report_diff.py`` separates moved floats from every
-other difference between two ``tools/cli_reports.py`` directories, the
-functions the benchmark traces exist, and no module imports a name it never
-reads."""
+other difference between two ``tools/cli_reports.py`` directories,
+``tools/cli_reports.py`` records a child's warnings without their location,
+the functions the benchmark traces exist, and no module imports a name it
+never reads."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -54,6 +57,23 @@ def test_changed_verdict_or_exit_code_exits_1(tmp_path, change):
     code, out = report_diff(tmp_path, change)
     assert code == 1
     assert "differs" in out
+
+
+def test_report_tool_keeps_category_and_message_of_a_warning(tmp_path):
+    spec = importlib.util.spec_from_file_location("cli_reports", ROOT / "tools" / "cli_reports.py")
+    cli_reports = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli_reports)
+    raw = json.loads((ROOT / "src" / "dstab" / "data" / "toy3.json").read_text())
+    raw["simulation"].update(dt_s=1e-3, t_end_s=0.1)  # a step RK4 amplifies a decaying mode at
+    scenario = tmp_path / "coarse.json"
+    scenario.write_text(json.dumps(raw))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-m", "dstab.cli", "simulate", str(scenario), "--out", str(tmp_path / "sim")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0
+    [(category, message)] = cli_reports.WARNING_LINE.findall(proc.stderr)
+    assert category == "RuntimeWarning"
+    assert message.startswith("step dt = 0.001 s is unstable for RK4: a decaying mode has |R(dt*eig)| = ")
 
 
 def test_benchmark_trace_targets_resolve():

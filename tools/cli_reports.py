@@ -12,19 +12,21 @@ three-part ``--region``, a region that fails the network damping assumption,
 half-plane, a region without a closed-form synthesis bound, and a tilted
 half-plane that also fails the damping assumption, where the damping verdict
 must name the binding condition.  Every shipped
-scenario pins its equilibrium, so the tool also runs every command but
-``simulate`` on the seed-1 meshes of 64, 200 and 640 nodes from
+scenario pins its equilibrium, so the tool also runs every command, ``simulate``
+included, on the seed-1 meshes of 64, 200 and 640 nodes from
 ``bench/meshgen.py`` (see ``MESHES``), which resolve their operating point by
 Newton power flow.  It writes
 
 * ``<scenario>.<command>.out`` -- the command's stdout,
 * ``<scenario>.csv`` and ``<scenario>.metrics.json`` -- ``simulate --out``,
 * ``exit_codes.txt`` -- one ``<scenario> <command> <exit code>`` line per run,
+* ``warnings.txt`` -- one ``<scenario> <command> <category>: <message>`` line
+  per warning a run printed, without its file and line,
 
 where ``<scenario>`` is a shipped name or a variant label.  Child stderr
-(warnings, error objects) is passed through to this tool's stderr and not
-written to the directory.  Two checkouts produce the same reports iff
-``diff -r`` of their output directories is empty:
+(warnings, error objects) is also passed through to this tool's stderr.
+Two checkouts produce the same reports iff ``diff -r`` of their output
+directories is empty:
 
     python3 tools/cli_reports.py OUTDIR
 """
@@ -34,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -70,6 +73,8 @@ VARIANTS = {
 }
 # label -> (nodes, seed) of a bench/meshgen.py mesh
 MESHES = {"mesh-n64-s1": (64, 1), "mesh-n200-s1": (200, 1), "mesh-n640-s1": (640, 1)}
+# The first line of a warning as Python prints it: "<file>:<line>: <category>: <message>".
+WARNING_LINE = re.compile(r"^\S.*:\d+: (\w+): (.*)$", re.MULTILINE)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -78,14 +83,16 @@ def main(argv: list[str] | None = None) -> int:
     outdir = parser.parse_args(argv).outdir
     outdir.mkdir(parents=True, exist_ok=True)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
-    codes = []
+    codes, caught = [], []
 
     def run(name: str, label: str, args: list[str], scenario: Path, extra: list[str]) -> None:
         argv_cli = [sys.executable, "-m", "dstab.cli", *args, str(scenario), *extra]
         proc = subprocess.run(argv_cli, env=env, capture_output=True)
         (outdir / f"{name}.{label}.out").write_bytes(proc.stdout)
         if proc.stderr:
-            sys.stderr.write(f"[{name} {label}] " + proc.stderr.decode(errors="replace"))
+            err = proc.stderr.decode(errors="replace")
+            sys.stderr.write(f"[{name} {label}] " + err)
+            caught.extend(f"{name} {label} {category}: {message}\n" for category, message in WARNING_LINE.findall(err))
         codes.append(f"{name} {label} {proc.returncode}\n")
 
     for name in SCENARIOS:
@@ -106,10 +113,11 @@ def main(argv: list[str] | None = None) -> int:
         for variant, (n, seed) in MESHES.items():
             scenario = meshgen.write_scenario(meshgen.mesh_scenario(n, seed), Path(tmp) / f"{variant}.json")
             for label, args in COMMANDS:
-                if label != "simulate":
-                    run(variant, label, args, scenario, [])
+                extra = ["--out", str(outdir / variant)] if label == "simulate" else []
+                run(variant, label, args, scenario, extra)
 
     (outdir / "exit_codes.txt").write_text("".join(codes))
+    (outdir / "warnings.txt").write_text("".join(caught))
     sys.stdout.write("".join(codes))
     return 0
 
