@@ -460,14 +460,14 @@ FUZZ_COMMANDS = [["check", "--theorem", "1"], ["check", "--theorem", "2"], ["pol
 # extremes that make a node's device invalid rather than merely extreme: a
 # boost source needs E < U_r, and C = 1e308 underflows its c1 to 0.
 DEVICE_CONSTANTS = [(device["node"], key) for device in TOY_RAW["devices"]
-                    for key, value in device.items() if key not in ("node", "type")]
+                    for key in device if key not in ("node", "type")]
 INVALID_DEVICE = {(1, "C_farad", 1e308), (1, "E_volt", 1e308), (1, "U_r_volt", 1e-300)}
 
 
 class TestExtremeDeviceConstants:
     @pytest.mark.parametrize("value", [1e308, 1e-300])
     @pytest.mark.parametrize("node, key", DEVICE_CONSTANTS, ids=[f"node{k}-{key}" for k, key in DEVICE_CONSTANTS])
-    @pytest.mark.parametrize("command", FUZZ_COMMANDS[:3] + FUZZ_COMMANDS[4:] + [["simulate"]],
+    @pytest.mark.parametrize("command", [c for c in FUZZ_COMMANDS if c != ["gridcode"]] + [["simulate"]],
                              ids=["check1", "check2", "poles", "synthesize", "positivity", "simulate"])
     def test_ends_in_its_exit_code(self, capsys, tmp_path, command, node, key, value):
         path = toy_variant(tmp_path, lambda raw: raw["devices"][node - 1].update({key: value}))
