@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import sys
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import numpy as np
@@ -33,31 +35,25 @@ _CSV_CHUNK_VALUES = 1 << 13
 # value, and a value whose scaled fraction lies within _TIE_BAND of one half
 # (a possible tie), goes to Python's %.
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280
-_TIE_BAND = 1e-6
+# The scaled value p = |v| * 10**k < 1e13 rounds twice, in the tabled 10**k
+# and in the product, each by u = 2**-53 relative at most: p lies within
+# (2u + u**2) * 1e13 ~ 2.22e-3 of the exact value, and floor(p) is exact.  So
+# outside a band wider than 2.3e-3 p rounds as the exact value does.
+_TIE_BAND = 5e-3
 # Powers of ten 10**k tabled for k = 12 - exponent, one either side of the fast range.
 _POW_MIN, _POW_MAX = -270, 294
-_SPLIT = 134217729.0  # 2**27 + 1: Dekker's splitting constant for doubles
 
 
 @functools.cache
 def _format_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Tables of the %.12e kernel, built on first use.
 
-    * rows ``hi, hi_1, hi_2, lo`` with a column per 10**k, k in [_POW_MIN, _POW_MAX]:
-      10**k = hi + lo to 2**-106 relative, hi = hi_1 + hi_2 split by Dekker;
+    * 10**k, correctly rounded, for k in [_POW_MIN, _POW_MAX];
     * "0000".."9999" as little-endian uint32 words;
     * the exponent field "e+05" / "e-100" as words 4 and 5 of a slot,
       indexed by exponent + 300.
     """
-    pows = np.empty((4, _POW_MAX - _POW_MIN + 1))
-    for col, k in enumerate(range(_POW_MIN, _POW_MAX + 1)):
-        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
-        hi = num / den  # int true division rounds correctly
-        m, d = hi.as_integer_ratio()
-        pows[0, col], pows[3, col] = hi, (num * d - m * den) / (den * d)
-    c = pows[0] * _SPLIT
-    pows[1] = c - (c - pows[0])
-    pows[2] = pows[0] - pows[1]
+    pows = np.array([float(f"1e{k}") for k in range(_POW_MIN, _POW_MAX + 1)])
 
     i = np.arange(10_000)
     digits = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1) + ord("0")
@@ -74,23 +70,6 @@ def _format_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return pows, words, field.view("<u4")[:, 0].copy(), field.view("<u4")[:, 1].copy()
 
 
-def _scale(a: np.ndarray, e: np.ndarray, pows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """floor(a * 10**(12 - e)) and the fraction left over.
-
-    The product with the double-double 10**k is formed by Dekker's
-    error-free product, so the fraction is good to about 1e-17."""
-    hi, hi_1, hi_2, lo = pows[:, 12 - e - _POW_MIN]
-    p = a * hi
-    c = a * _SPLIT
-    a_1 = c - (c - a)
-    a_2 = a - a_1
-    err = ((a_1 * hi_1 - p) + a_1 * hi_2 + a_2 * hi_1) + a_2 * hi_2  # a * hi - p, exactly
-    whole = np.floor(p)
-    r = (p - whole) + (err + a * lo)
-    carry = np.floor(r)
-    return whole + carry, r - carry
-
-
 def _format_rows(block: np.ndarray) -> str:
     """The rows of a 2-D float array as CSV lines, each value as '%.12e' % v.
 
@@ -104,20 +83,21 @@ def _format_rows(block: np.ndarray) -> str:
     zero = a == 0.0
     a_fast = np.where(fast, a, 1.0)
     e = np.floor(np.log10(a_fast)).astype(np.int64)
-    whole, frac = _scale(a_fast, e, pows)
+    p = a_fast * pows[12 - e - _POW_MIN]
     # log10 can miss the exponent by one next to a power of ten.
-    low, high = whole < 1e12, whole >= 1e13
+    low, high = p < 1e12, p >= 1e13
     off = np.flatnonzero(low | high)
     if off.size:
         e[off] += high[off].astype(np.int64) - low[off]
-        whole[off], frac[off] = _scale(a_fast[off], e[off], pows)
+        p[off] = a_fast[off] * pows[12 - e[off] - _POW_MIN]
+    whole = np.floor(p)
+    frac = p - whole
     n = whole.astype(np.int64) + (frac > 0.5)
     # 9.9999999999995e+k and up round to 1.000000000000e+(k+1).
     carry = n == 10**13
     n[carry] = 10**12
     e += carry
-    n[zero] = 0
-    e[zero] = 0
+    n[zero] = e[zero] = 0
 
     lead = n // 10**12
     rest = n - lead * 10**12
@@ -131,10 +111,9 @@ def _format_rows(block: np.ndarray) -> str:
     sep[block.shape[1] - 1 :: block.shape[1]] = ord("\n")
     slots[:, 5] = exp_hi[e + 300] | sep << 8
     raw = slots.view(np.uint8).reshape(v.size, 24)
-    for i in np.flatnonzero(~(fast | zero) | (np.abs(frac - 0.5) < _TIE_BAND)).tolist():
-        text = ("%.12e" % v[i]).encode()
-        raw[i, :21] = 0
-        raw[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+    # "-1.234567890123e-300" is the longest text; byte 21, the separator, stays.
+    slow = ~(fast | zero) | (np.abs(frac - 0.5) < _TIE_BAND)
+    raw[slow, :21] = np.array([b"%.12e" % x for x in v[slow].tolist()], dtype="S21").view(np.uint8).reshape(-1, 21)
     return raw.tobytes().translate(None, b"\0").decode("ascii")
 
 
@@ -164,8 +143,7 @@ def _fmt(value) -> str:
             value = 0.0  # collapse negative zero for stable output
         return f"{value:.12e}"
     if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        return f'"{escaped}"'
+        return encode_basestring(value)  # json.dumps(value, ensure_ascii=False), minus its set-up
     if isinstance(value, dict):
         inner = ",".join(f'{_fmt(str(k))}:{_fmt(v)}' for k, v in value.items())
         return "{" + inner + "}"
@@ -189,11 +167,9 @@ def _emit(text: str, out: str | None) -> None:
 def _load(args) -> object:
     region = None
     if args.region:
-        import json as _json
-
         try:
-            region = region_from_spec(_json.loads(args.region))
-        except (_json.JSONDecodeError, ValueError) as exc:
+            region = region_from_spec(json.loads(args.region))
+        except ValueError as exc:  # JSONDecodeError included
             raise ScenarioError(f"bad --region override: {exc}") from exc
     return load_scenario(args.scenario, region)
 
@@ -329,9 +305,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        sys.stderr.write(dumps({"error": "input", "message": str(exc)}) + "\n")
-        return 2
     except (ConvergenceError, DivergenceError, PrecisionError, RootFindingError) as exc:
         sys.stderr.write(dumps({"error": "numerical", "message": str(exc)}) + "\n")
         return 3

@@ -47,10 +47,16 @@ class GenericSecondOrder:
     d0: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.c1, self.c0, self.d1, self.d0))):
+            raise ValueError(f"coefficients must be finite, got {self}")
         if self.c1 <= 0:
             raise ValueError(f"c1 must be positive, got {self.c1}")
         if self.c0 < 0:
             raise ValueError(f"c0 must be nonnegative, got {self.c0}")
+        # A leading coefficient the trim rule would drop: double precision
+        # cannot hold this form.
+        if self.c1 <= TRIM_TOL * self.c0 or max(abs(self.d0), abs(self.d1)) >= 1.0 / TRIM_TOL:
+            raise ValueError(f"a leading coefficient is lost in double precision: {self}")
 
     @property
     def tf(self) -> CRational:

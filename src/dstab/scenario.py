@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import devices as dev
+from .cpoly import TRIM_TOL
 from .errors import ScenarioError
 from .network import AdmittanceMatrix, GridCode, NodePartition, build_admittance, grid_code
 from .regions import Region, parts, region_from_spec
@@ -88,7 +89,7 @@ def _node_index(raw, n_nodes: int, where: str) -> int:
     return raw - 1
 
 
-def _parse_device(block: dict, n_nodes: int) -> tuple[int, dev.DeviceParams]:
+def parse_device(block: dict, n_nodes: int) -> tuple[int, dev.DeviceParams]:
     where = f"device block {block!r}"
     node = _node_index(_need(block, "node", where), n_nodes, where)
     kind = _need(block, "type", where)
@@ -160,7 +161,7 @@ def load_scenario(path: str | Path, region: Region | None = None) -> Scenario:
         raise ScenarioError(f"need exactly {n_nodes} device blocks, got {len(blocks) if isinstance(blocks, list) else blocks!r}")
     device_list: list[dev.DeviceParams | None] = [None] * n_nodes
     for block in blocks:
-        node, params = _parse_device(block, n_nodes)
+        node, params = parse_device(block, n_nodes)
         if device_list[node] is not None:
             raise ScenarioError(f"duplicate device for node {node + 1}")
         device_list[node] = params
@@ -286,7 +287,11 @@ def load_pairs(sc: Scenario, eq: dev.Equilibrium) -> tuple[tuple[float, float], 
     for k in sc.partition.load_ids:
         cpl = sc.devices[k]
         assert isinstance(cpl, dev.CplParams)
-        out.append((cpl.C_l, dev.cpl_conductance(cpl, eq.u_star[k])))
+        y_l = dev.cpl_conductance(cpl, eq.u_star[k])
+        if cpl.C_l <= TRIM_TOL * y_l:  # the trim rule would drop C_l
+            raise ScenarioError(f"invalid load model at node {k + 1}: C_l = {cpl.C_l} is lost next to "
+                                f"y_l = {y_l} in double precision")
+        out.append((cpl.C_l, y_l))
     return tuple(out)
 
 
@@ -358,15 +363,11 @@ def indexed_model(
     return replace(model, y_s=chosen_indices(reports)), reports
 
 
-def synthesize(
-    sc: Scenario, eq: dev.Equilibrium | None = None, codes: list[GridCode] | None = None,
-) -> dict:
+def synthesize(sc: Scenario) -> dict:
     """Per-part, per-source synthesis: grid codes, bounds, compliance and the
-    chosen maximal indices, as the synthesize command reports them.  ``eq``
-    and ``codes`` (the grid codes at ``eq``) are resolved here when not
-    given."""
-    eq = eq or resolve_equilibrium(sc)
-    codes = codes or grid_codes(sc, eq)
+    chosen maximal indices, as the synthesize command reports them."""
+    eq = resolve_equilibrium(sc)
+    codes = grid_codes(sc, eq)
     reports = compliance(sc, eq, codes)
     part_entries = [
         [{"node": k + 1, **report.as_dict()} for k, report in zip(sc.partition.source_ids, row)]

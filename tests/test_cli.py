@@ -458,10 +458,14 @@ FUZZ_COMMANDS = [["check", "--theorem", "1"], ["check", "--theorem", "2"], ["pol
 
 # Every positive device constant of toy3 as (1-based node, field), and the
 # extremes that make a node's device invalid rather than merely extreme: a
-# boost source needs E < U_r, and C = 1e308 underflows its c1 to 0.
+# boost source needs E < U_r; C = 1e308 underflows its c1 to 0; kP_u or kI_u
+# at 1e308 overflows a coefficient; C = 1e-300 (C_l = 1e-300) makes a
+# leading coefficient that double precision drops next to the others.
 DEVICE_CONSTANTS = [(device["node"], key) for device in TOY_RAW["devices"]
                     for key in device if key not in ("node", "type")]
-INVALID_DEVICE = {(1, "C_farad", 1e308), (1, "E_volt", 1e308), (1, "U_r_volt", 1e-300)}
+INVALID_DEVICE = {(1, "C_farad", 1e308), (1, "E_volt", 1e308), (1, "U_r_volt", 1e-300),
+                  (1, "kP_u", 1e308), (2, "kP_u", 1e308), (1, "kI_u", 1e308), (2, "kI_u", 1e308),
+                  (1, "C_farad", 1e-300), (2, "C_farad", 1e-300), (3, "C_l_farad", 1e-300)}
 
 
 class TestExtremeDeviceConstants:
@@ -663,6 +667,34 @@ class TestSimulateCmd:
         assert code == 0
         assert text == expected
 
+    def test_csv_kernel_at_its_error_bound(self):
+        """The kernel's one-product scaling against '%.12e' % v where rounding is
+        closest to a tie or to an exponent change: decimal ties of 14 significant
+        digits (as the nearest double) +-64 ulps over the fast range, exact binary
+        ties, 10**k and 9.9999999999995 * 10**k +-40 ulps, random magnitudes and
+        random bits."""
+        import dstab.cli as cli
+
+        rng = np.random.default_rng(18)
+        digits, exps = rng.integers(10**12, 10**13, 3000).tolist(), rng.integers(-279, 280, 3000).tolist()
+        ties = np.array([float(f"{d}5e{x - 13}") for d, x in zip(digits, exps)])
+        j = rng.integers(1, 20, 2000)
+        exact_ties = np.ldexp((rng.integers(-(-(10**13) // 5**j), 10**14 // 5**j) // 2 * 2 + 1).astype(float), -j)
+        k = range(-300, 301)
+        edges = np.array([float(f"1e{i}") for i in k] + [float(f"9.9999999999995e{i}") for i in k])
+        values = np.concatenate([
+            (ties[:, None] + np.arange(-64, 65) * np.spacing(ties)[:, None]).ravel(),
+            exact_ties,
+            (edges[:, None] + np.arange(-40, 41) * np.spacing(edges)[:, None]).ravel(),
+            rng.standard_normal(20_000) * 10.0 ** rng.uniform(-300, 300, 20_000),
+            rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(float),
+        ])
+        flip = rng.random(values.size) < 0.5
+        values[flip] = -values[flip]
+        got = cli._format_rows(values[:, None]).splitlines()
+        bad = [(g, "%.12e" % v) for g, v in zip(got, values.tolist()) if g != "%.12e" % v]
+        assert len(got) == values.size and not bad, bad[:5]
+
 
 class TestPositivityCmd:
     def test_reports_all_nodes(self, capsys):
@@ -826,6 +858,16 @@ class TestDeterminism:
         run(capsys, "simulate", TOY, "--out", str(tmp_path / "run"))
         assert (tmp_path / "run.csv").read_text() == out1
         assert (tmp_path / "run.metrics.json").read_text() + "\n" == err1
+
+    def test_control_characters_stay_valid_json(self, capsys, tmp_path):
+        name = 'toy\t"3"\r\x01\\\n\u00e9'
+        path = toy_variant(tmp_path, lambda raw: raw.update(name=name))
+        for command in (["gridcode"], ["check", "--theorem", "1"], ["check"], ["synthesize"], ["positivity"]):
+            code, out, _ = run(capsys, *command, str(path))
+            assert code == 0 and json.loads(out)["scenario"] == name, command
+        code, _, err = run(capsys, "simulate", str(path), "--out", str(tmp_path / "run"))
+        assert code == 0 and err == ""
+        assert json.loads((tmp_path / "run.metrics.json").read_text())["scenario"] == name
 
     def test_float_format(self):
         assert dumps({"x": 1.5}) == '{"x":1.500000000000e+00}'

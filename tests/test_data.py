@@ -96,6 +96,13 @@ class TestIeee39Files:
 
 
 class TestToyFile:
+    def test_generator_reproduces_shipped_file(self, tmp_path):
+        spec = importlib.util.spec_from_file_location("build_toy3", TOOLS / "build_toy3.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        module.main(tmp_path)
+        assert (tmp_path / "toy3.json").read_bytes() == (DATA / "toy3.json").read_bytes()
+
     def test_loads_and_validates(self):
         sc = load_scenario(DATA / "toy3.json")
         assert sc.n_nodes == 3

@@ -29,6 +29,7 @@ from dstab import devices as dev
 from dstab.cli import dumps
 from dstab.network import AdmittanceMatrix, GridCode, NodePartition, build_admittance, grid_code
 from dstab.regions import family, parts, region_from_spec
+from dstab.scenario import parse_device
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "dstab" / "data"
 
@@ -77,21 +78,6 @@ DISTURBANCE = {"node": 20, "magnitude": 0.01, "start_s": 0.1, "duration_s": 0.02
 SIMULATION = {"t_end_s": 1.5, "dt_s": 2e-5, "band": 0.02}
 
 
-def params_from_block(block: dict) -> dev.DeviceParams:
-    kind = block["type"]
-    if kind == "ess_boost":
-        return dev.EssBoostParams(C=block["C_farad"], E=block["E_volt"], U_r=block["U_r_volt"],
-                                  R_d=block["R_d_ohm"], kP_u=block["kP_u"], kI_u=block["kI_u"])
-    if kind == "ess_buck":
-        return dev.EssBuckParams(C=block["C_farad"], E=block["E_volt"], U_r=block["U_r_volt"],
-                                 R_d=block["R_d_ohm"], kP_u=block["kP_u"], kI_u=block["kI_u"])
-    if kind == "pv":
-        return dev.PvParams(C=block["C_farad"], kP_u=block["kP_u"], kI_u=block["kI_u"],
-                            U_r_pv=block["U_r_pv_volt"], i_pv_star=block["i_pv_star_amp"],
-                            g_pv_star=block["g_pv_star_siemens"])
-    return dev.CplParams(C_l=block["C_l_farad"], P=block["P_watt"])
-
-
 def build_network() -> AdmittanceMatrix:
     sources = tuple(n - 1 for n in BOOST_NODES + BUCK_NODES + PV_NODES)
     loads = tuple(n - 1 for n in CPL_NODES)
@@ -100,14 +86,14 @@ def build_network() -> AdmittanceMatrix:
 
 
 def solve_equilibrium(Y: AdmittanceMatrix, blocks: list[dict]) -> dev.Equilibrium:
-    return dev.equilibrium_solve(Y, [params_from_block(b) for b in blocks], NOMINAL)
+    return dev.equilibrium_solve(Y, [parse_device(b, 39)[1] for b in blocks], NOMINAL)
 
 
 def broadcast_codes(Y: AdmittanceMatrix, blocks: list[dict], eq: dev.Equilibrium) -> list[GridCode]:
     """The grid code of every region part, from the loads at the operating point."""
     pairs = []
     for k in Y.partition.load_ids:
-        cpl = params_from_block(blocks[k])
+        cpl = parse_device(blocks[k], 39)[1]
         pairs.append((cpl.C_l, dev.cpl_conductance(cpl, eq.u_star[k])))
     codes = [grid_code(Y, part, pairs) for part in parts(region_from_spec(REGION))]
     for code in codes:
@@ -118,7 +104,7 @@ def broadcast_codes(Y: AdmittanceMatrix, blocks: list[dict], eq: dev.Equilibrium
 
 def failing_parts(block: dict, codes: list[GridCode], u_star: float) -> list[str]:
     """Region parts whose grid code the device in ``block`` does not comply with."""
-    g = dev.source_coeffs(params_from_block(block), u_star)
+    g = dev.source_coeffs(parse_device(block, 39)[1], u_star)
     return [family(c.region) for c in codes if not dev.check_compliance([g], c)[0].compliant]
 
 

@@ -3,10 +3,15 @@
 
 Two storage units feed one constant-power load over a star of 0.1-ohm
 lines; gains are chosen so the grid-code certificate passes for a shifted
-left-half-plane target."""
+left-half-plane target.
+
+Run from the repository root:  python3 tools/build_toy3.py [out_dir]
+(out_dir defaults to src/dstab/data).
+"""
 
 from __future__ import annotations
 
+import argparse
 import sys
 from pathlib import Path
 
@@ -15,7 +20,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from dstab import devices as dev
 from dstab.cli import dumps
 from dstab.network import NodePartition, build_admittance
+from dstab.scenario import parse_device
 
+DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "dstab" / "data"
 NOMINAL = 105.0
 
 BLOCKS = [
@@ -27,15 +34,10 @@ BLOCKS = [
 ]
 
 
-def main() -> None:
+def main(out_dir: Path = DATA_DIR) -> None:
     part = NodePartition((0, 1), (2,))
     Y = build_admittance([(0, 2, 0.1), (1, 2, 0.1)], 3, part)
-    devices = [
-        dev.EssBoostParams(C=2e-3, E=50.0, U_r=105.0, R_d=0.6, kP_u=0.35, kI_u=26.5),
-        dev.EssBuckParams(C=3e-3, E=200.0, U_r=105.0, R_d=0.7, kP_u=0.38, kI_u=21.0),
-        dev.CplParams(C_l=2e-3, P=1500.0),
-    ]
-    eq = dev.equilibrium_solve(Y, devices, NOMINAL)
+    eq = dev.equilibrium_solve(Y, [parse_device(block, 3)[1] for block in BLOCKS], NOMINAL)
     print("toy equilibrium:", [f"{u:.4f}" for u in eq.u_star])
     scenario = {
         "name": "toy3",
@@ -52,10 +54,15 @@ def main() -> None:
         "disturbance": {"node": 3, "magnitude": 0.01, "start_s": 0.05, "duration_s": 0.02, "shape": "pulse"},
         "simulation": {"t_end_s": 0.6, "dt_s": 2e-5, "band": 0.02},
     }
-    out = Path(__file__).resolve().parent.parent / "src" / "dstab" / "data" / "toy3.json"
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    out = out_dir / "toy3.json"
     out.write_text(dumps(scenario) + "\n")
     print(f"wrote {out}")
 
 
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description="Regenerate the shipped 3-node scenario file.")
+    parser.add_argument("out_dir", nargs="?", type=Path, default=DATA_DIR,
+                        help="directory to write the scenario file to (default: src/dstab/data)")
+    main(parser.parse_args().out_dir)
