@@ -14,6 +14,8 @@ import argparse
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -157,9 +159,25 @@ def dumps(obj) -> str:
     return _fmt(obj)
 
 
+def _write(path: str | Path, chunks) -> None:
+    """Write text chunks to ``path`` in place: the file is opened without
+    O_TRUNC and cut at the end of what was written, even when a chunk fails.
+    Truncating on open, or renaming a new file over the old one, makes ext4
+    flush the file on close, and a rewrite then waits tens of milliseconds;
+    in place the file keeps its inode, links and mode.  Only a regular file
+    is cut, so /dev/null, /dev/stdout and FIFOs work too."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w") as stream:
+        try:
+            stream.writelines(chunks)
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                stream.truncate()
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        _write(out, [text])
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -231,9 +249,8 @@ def cmd_simulate(args) -> int:
     names = ["t"] + [f"du_{k + 1}" for k in range(tr.du.shape[1])]
     if args.out:
         base = Path(args.out)
-        with base.with_suffix(".csv").open("w") as stream:
-            stream.writelines(_csv_chunks(names, tr.t, tr.du))
-        base.with_suffix(".metrics.json").write_text(dumps({"scenario": sc.name, **stats}))
+        _write(base.with_suffix(".csv"), _csv_chunks(names, tr.t, tr.du))
+        _write(base.with_suffix(".metrics.json"), [dumps({"scenario": sc.name, **stats})])
     else:
         sys.stdout.writelines(_csv_chunks(names, tr.t, tr.du))
         sys.stderr.write(dumps({"scenario": sc.name, **stats}) + "\n")

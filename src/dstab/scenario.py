@@ -131,6 +131,11 @@ def load_scenario(path: str | Path, region: Region | None = None) -> Scenario:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError("scenario file must contain a JSON object")
+    name = str(raw.get("name", path.stem))
+    try:
+        name.encode()  # every report is UTF-8 text
+    except UnicodeEncodeError as exc:
+        raise ScenarioError(f"name {name!r} cannot be encoded as UTF-8: {exc.reason} at position {exc.start}") from exc
 
     topo = _need(raw, "topology", "scenario")
     n_nodes = _need(topo, "nodes", "topology")
@@ -247,7 +252,7 @@ def load_scenario(path: str | Path, region: Region | None = None) -> Scenario:
     if nominal <= 0:
         raise ScenarioError(f"nominal_voltage_volt must be a finite positive number, got {nominal!r}")
     return Scenario(
-        name=str(raw.get("name", path.stem)),
+        name=name,
         nominal_voltage=nominal,
         n_nodes=n_nodes,
         edges=edges,

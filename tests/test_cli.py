@@ -433,6 +433,24 @@ class TestInputContract:
         assert code == 3 and out == ""
         assert json.loads(err) == {"error": "internal", "message": "RuntimeError: boom"}
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+    @pytest.mark.parametrize("command", [["poles"], ["gridcode"], ["check"], ["synthesize"], ["simulate"],
+                                         ["positivity"]], ids=lambda c: c[0])
+    def test_name_utf8_cannot_encode_exits_2(self, capsys, tmp_path, command, existing):
+        # json.loads accepts a lone surrogate, which no report can write as UTF-8.
+        path = toy_variant(tmp_path, lambda raw: raw.update(name="toy\ud800"))
+        base = tmp_path / "report"
+        targets = [base.with_suffix(".csv"), base.with_suffix(".metrics.json")] if command == ["simulate"] else [base]
+        if existing:
+            for target in targets:
+                target.write_bytes(b"old report\n")
+        for extra in ([], ["--out", str(base)]):
+            code, out, err = run(capsys, *command, str(path), *extra)
+            assert code == 2 and out == ""
+            error = json.loads(err)
+            assert error["error"] == "input" and error["message"].startswith("name 'toy\\ud800' cannot be encoded")
+        assert [t.read_bytes() for t in targets if t.exists()] == ([b"old report\n"] * len(targets) if existing else [])
+
 
 def _numeric_leaves(tree, path=()):
     if isinstance(tree, dict):
@@ -855,6 +873,8 @@ class TestDeterminism:
         code2, out2, err2 = run(capsys, "simulate", TOY)
         assert code1 == code2 == 0
         assert out1 == out2 and err1 == err2
+        for path in (tmp_path / "run.csv", tmp_path / "run.metrics.json"):
+            path.write_text("x" * (len(out1) + 4096))  # an --out file is written over in place
         run(capsys, "simulate", TOY, "--out", str(tmp_path / "run"))
         assert (tmp_path / "run.csv").read_text() == out1
         assert (tmp_path / "run.metrics.json").read_text() + "\n" == err1
@@ -873,6 +893,83 @@ class TestDeterminism:
         assert dumps({"x": 1.5}) == '{"x":1.500000000000e+00}'
         assert dumps({"x": float("nan"), "y": [True, None]}) == '{"x":"nan","y":[true,null]}'
         assert dumps({"z": -0.0}) == '{"z":0.000000000000e+00}'
+
+
+JSON_COMMANDS = [["gridcode"], ["check", "--theorem", "1"], ["check", "--theorem", "2"], ["synthesize"], ["positivity"]]
+
+
+class TestOutWriter:
+    """--out overwrites a report in place: no O_TRUNC on open, the file cut
+    to what was written, its inode, links and mode kept."""
+
+    @pytest.mark.parametrize("name", ["toy3", "ieee39_default", "ieee39_synthesized"])
+    def test_report_over_a_longer_file_is_stdout(self, capsys, tmp_path, name):
+        scenario = str(DATA / f"{name}.json")
+        target = tmp_path / "report"
+        for command in [["poles"], *JSON_COMMANDS]:
+            code, out, _ = run(capsys, *command, scenario)
+            target.write_text("x" * (len(out) + 4096))
+            assert run(capsys, *command, scenario, "--out", str(target)) == (code, "", "")
+            # stdout ends every report with a newline; a JSON file holds none
+            assert target.read_text() == (out if command == ["poles"] else out[:-1]), command
+
+    def test_never_opens_with_o_trunc(self, capsys, tmp_path, monkeypatch):
+        opened = []
+        os_open = os.open
+
+        def recording(path, flags, *args):
+            opened.append((str(path), flags))
+            return os_open(path, flags, *args)
+
+        monkeypatch.setattr(os, "open", recording)
+        for k, command in enumerate([["poles"], *JSON_COMMANDS]):
+            run(capsys, *command, TOY, "--out", str(tmp_path / f"r{k}"))
+            run(capsys, *command, TOY, "--out", str(tmp_path / f"r{k}"))  # over the first report
+        run(capsys, "simulate", TOY, "--out", str(tmp_path / "run"))
+        assert sorted(path for path, _ in opened) == sorted(
+            [str(tmp_path / f"r{k}") for k in range(6)] * 2 + [str(tmp_path / "run.csv"), str(tmp_path / "run.metrics.json")])
+        assert not [flags for _, flags in opened if flags & os.O_TRUNC]
+
+    @pytest.mark.parametrize("command", [["poles"], *JSON_COMMANDS], ids=lambda c: "".join(c))
+    def test_out_dev_null(self, capsys, command):
+        code, out, err = run(capsys, *command, TOY, "--out", os.devnull)
+        assert code == 0 and out == err == ""
+
+    def test_existing_report_keeps_inode_links_and_mode(self, capsys, tmp_path):
+        base = tmp_path / "run"
+        targets = [tmp_path / "check.json", base.with_suffix(".csv"), base.with_suffix(".metrics.json")]
+        for target in targets:
+            target.write_text("old report\n")
+            target.chmod(0o640)
+            os.link(target, target.with_name("link-" + target.name))
+        before = [os.stat(target) for target in targets]
+        assert run(capsys, "check", TOY, "--out", str(targets[0]))[0] == 0
+        assert run(capsys, "simulate", TOY, "--out", str(base))[0] == 0
+        for target, old in zip(targets, before):
+            new = os.stat(target)
+            assert (new.st_ino, new.st_mode, new.st_nlink) == (old.st_ino, old.st_mode, 2)
+            assert new.st_size > len("old report\n")
+            assert target.with_name("link-" + target.name).read_bytes() == target.read_bytes()
+
+    def test_failed_csv_keeps_what_was_written(self, capsys, tmp_path, monkeypatch):
+        import dstab.cli as cli
+
+        chunks = cli._csv_chunks
+        written = []
+
+        def failing(*args):
+            stream = chunks(*args)
+            written.extend([next(stream), next(stream)])  # header and first chunk
+            yield from written
+            raise RuntimeError("disk gone")
+
+        base = tmp_path / "run"
+        base.with_suffix(".csv").write_text("x" * 10**6)
+        monkeypatch.setattr(cli, "_csv_chunks", failing)
+        code, out, err = run(capsys, "simulate", TOY, "--out", str(base))
+        assert code == 3 and out == "" and "disk gone" in err
+        assert written[0] == "t,du_1,du_2,du_3\n" and len(written[1]) > 10**4
+        assert base.with_suffix(".csv").read_text() == "".join(written)
 
 
 class TestParser:

@@ -287,6 +287,20 @@ class TestStepWarning:
         # the sweep decides by the bound alone, by eigenvalues without a warning (ieee39) and with one
         assert {(False, False), (True, True)} <= paths
 
+    def test_rounding_on_the_imaginary_axis_does_not_warn(self, toy_model, monkeypatch):
+        # |R(z)| < 1 exactly for z = -1e-17 + iy, yet the double evaluation
+        # reads 1 + 2**-52 at 1056 of these points; a true amplification still warns.
+        dt = 2.0**-14  # scaling by a power of two keeps every z exact
+        z = -1e-17 + 1j * np.linspace(1e-4, 0.05, 200_001)
+        assert np.count_nonzero(rk4_gain(z) > 1) == 1056
+        monkeypatch.setattr(sim, "_spectral_radius_bound", lambda a: math.inf)
+        a_cl = assemble_closed_loop(toy_model)
+        for modes, warns in ((z, False), (np.append(z, -1e-3 + 2.9j), True)):
+            monkeypatch.setattr(np.linalg, "eigvals", lambda a, modes=modes: modes / dt)
+            expected = rk4_step_warning(a_cl, dt)
+            assert (expected is not None) == warns
+            assert caught_warnings(toy_model, 2, dt) == ([expected] if warns else [])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_matrix_takes_the_eigenvalue_path(self, toy_model, monkeypatch, bad):
         a_cl = assemble_closed_loop(toy_model)

@@ -1,6 +1,7 @@
 """The tooling: ``tools/report_diff.py`` separates moved floats from every
 other difference between two ``tools/cli_reports.py`` directories,
-``tools/cli_reports.py`` records a child's warnings without their location,
+``tools/cli_reports.py`` records a child's warnings without their location
+and writes ``simulate`` reports over longer files,
 the functions the benchmark traces exist, and no module imports a name it
 never reads."""
 
@@ -59,10 +60,15 @@ def test_changed_verdict_or_exit_code_exits_1(tmp_path, change):
     assert "differs" in out
 
 
-def test_report_tool_keeps_category_and_message_of_a_warning(tmp_path):
+def load_cli_reports():
     spec = importlib.util.spec_from_file_location("cli_reports", ROOT / "tools" / "cli_reports.py")
     cli_reports = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(cli_reports)
+    return cli_reports
+
+
+def test_report_tool_keeps_category_and_message_of_a_warning(tmp_path):
+    cli_reports = load_cli_reports()
     raw = json.loads((ROOT / "src" / "dstab" / "data" / "toy3.json").read_text())
     raw["simulation"].update(dt_s=1e-3, t_end_s=0.1)  # a step RK4 amplifies a decaying mode at
     scenario = tmp_path / "coarse.json"
@@ -74,6 +80,23 @@ def test_report_tool_keeps_category_and_message_of_a_warning(tmp_path):
     [(category, message)] = cli_reports.WARNING_LINE.findall(proc.stderr)
     assert category == "RuntimeWarning"
     assert message.startswith("step dt = 0.001 s is unstable for RK4: a decaying mode has |R(dt*eig)| = ")
+
+
+def test_report_tool_writes_simulate_over_a_longer_file(tmp_path):
+    cli_reports = load_cli_reports()
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+    scenario = str(ROOT / "src" / "dstab" / "data" / "toy3.json")
+    fresh = subprocess.run([sys.executable, "-m", "dstab.cli", "simulate", scenario], env=env, capture_output=True)
+    assert fresh.returncode == 0
+    base = tmp_path / "toy3"
+    argv_cli = [sys.executable, "-m", "dstab.cli", "simulate", scenario, "--out", str(base)]
+    cli_reports.prefill(argv_cli, env, base)
+    files = [(base.with_suffix(".csv"), fresh.stdout), (base.with_suffix(".metrics.json"), fresh.stderr[:-1])]
+    for path, report in files:
+        assert path.read_bytes() == report + cli_reports.STALE_TAIL
+    assert subprocess.run(argv_cli, env=env, capture_output=True).returncode == 0
+    for path, report in files:
+        assert path.read_bytes() == report
 
 
 def test_benchmark_trace_targets_resolve():

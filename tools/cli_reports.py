@@ -19,6 +19,8 @@ Newton power flow.  It writes
 
 * ``<scenario>.<command>.out`` -- the command's stdout,
 * ``<scenario>.csv`` and ``<scenario>.metrics.json`` -- ``simulate --out``,
+  written over a longer file (see ``prefill``), so the reports show what an
+  overwrite leaves,
 * ``exit_codes.txt`` -- one ``<scenario> <command> <exit code>`` line per run,
 * ``warnings.txt`` -- one ``<scenario> <command> <category>: <message>`` line
   per warning a run printed, without its file and line,
@@ -75,6 +77,17 @@ VARIANTS = {
 MESHES = {"mesh-n64-s1": (64, 1), "mesh-n200-s1": (200, 1), "mesh-n640-s1": (640, 1)}
 # The first line of a warning as Python prints it: "<file>:<line>: <category>: <message>".
 WARNING_LINE = re.compile(r"^\S.*:\d+: (\w+): (.*)$", re.MULTILINE)
+STALE_TAIL = b"stale tail of an earlier, longer report\n" * 64
+
+
+def prefill(argv_cli: list[str], env: dict[str, str], base: Path) -> None:
+    """Leave a file longer than the report at both ``simulate --out`` targets
+    of ``base``: the report of a first run of ``argv_cli``, its output
+    dropped, plus ``STALE_TAIL``."""
+    subprocess.run(argv_cli, env=env, capture_output=True)
+    for suffix in (".csv", ".metrics.json"):
+        with base.with_suffix(suffix).open("ab") as stream:
+            stream.write(STALE_TAIL)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -87,6 +100,8 @@ def main(argv: list[str] | None = None) -> int:
 
     def run(name: str, label: str, args: list[str], scenario: Path, extra: list[str]) -> None:
         argv_cli = [sys.executable, "-m", "dstab.cli", *args, str(scenario), *extra]
+        if label == "simulate":
+            prefill(argv_cli, env, outdir / name)
         proc = subprocess.run(argv_cli, env=env, capture_output=True)
         (outdir / f"{name}.{label}.out").write_bytes(proc.stdout)
         if proc.stderr:
