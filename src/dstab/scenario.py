@@ -248,6 +248,17 @@ def load_scenario(path: str | Path, region: Region | None = None) -> Scenario:
             f"simulation.t_end_s ({t_end!r}) must exceed the end of the disturbance pulse "
             f"({disturbance.start + disturbance.duration!r})"
         )
+    if disturbance is not None:
+        # sim.simulate samples the pulse at i * spacing + dt/2, i < n_steps, on its np.linspace grid.
+        start, end, ratio = disturbance.start, disturbance.start + disturbance.duration, t_end / dt
+        n_steps = round(ratio) if math.isfinite(ratio) else 0
+        spacing = n_steps * dt / max(n_steps, 1)
+        near = math.ceil(min(max(start / dt - 0.5, 0.0), n_steps))
+        if not any(start <= i * spacing + dt / 2 < end for i in range(max(near - 2, 0), min(near + 3, n_steps))):
+            raise ScenarioError(
+                f"simulation.t_end_s / dt_s ({t_end!r} / {dt!r}) must give a finite step count with a step "
+                f"midpoint in the disturbance pulse [{start!r}, {end!r})"
+            )
     nominal = _num(raw, "nominal_voltage_volt", "scenario")
     if nominal <= 0:
         raise ScenarioError(f"nominal_voltage_volt must be a finite positive number, got {nominal!r}")

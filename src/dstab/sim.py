@@ -3,7 +3,7 @@
 The load disturbance is modeled as an additive current injection of
 ``magnitude * P / u*`` amps at the disturbed load node (the small-signal
 equivalent of a fractional load-power step), integrated with fixed-step RK4
-through its exact one-step propagator.
+through its exact one-step propagator, or stage by stage below 2N steps (N states).
 """
 
 from __future__ import annotations
@@ -149,40 +149,62 @@ def simulate(m: SystemModel, d: DisturbanceSpec, t_end: float, dt: float) -> Tra
         """C @ states for a state vector or a matrix of state columns."""
         return np.einsum("kw,kw...->k...", out_coef, states[out_idx])
 
-    # With the input held over a step, one RK4 step of x' = A x + b w is
-    # exactly x <- P x + q w, where P = sum_{k<=4} (hA)^k / k! and
-    # q = h sum_{k<=3} (hA)^k / (k+1)! b.  Both are evaluated by Horner's
-    # rule, P one column block at a time (block j of hA P needs only block j
-    # of P) so that no third N x N array is live.
-    h_a = a_cl
-    h_a *= dt  # a_cl is not needed after the step check
-    p = np.empty_like(h_a)
-    for j in range(0, n_states, _HORNER_COLS):
-        eye = np.eye(n_states, min(_HORNER_COLS, n_states - j), -j)
-        blk = eye + h_a[:, j : j + _HORNER_COLS] / 4
-        for k in (3, 2, 1):
-            blk = eye + h_a @ blk / k
-        p[:, j : j + _HORNER_COLS] = blk
-    q = b_d
-    for k in (4, 3, 2):
-        q = b_d + h_a @ q / k
-    q = dt * q
-    del a_cl, h_a  # only P and q are needed from here on
-
     n_steps = int(round(t_end / dt))
-    t = np.linspace(0.0, n_steps * dt, n_steps + 1)
-    # The pulse is held constant over each step (sampled at the midpoint);
-    # exact whenever the edges align with the time grid.
-    mid = t[:-1] + 0.5 * dt
-    w = ((d.start <= mid) & (mid < d.start + d.duration)).astype(float)
+    try:
+        t = np.linspace(0.0, n_steps * dt, n_steps + 1)
+        # The pulse is held constant over each step (sampled at the midpoint);
+        # exact whenever the edges align with the time grid.
+        mid = t[:-1] + 0.5 * dt
+        w = ((d.start <= mid) & (mid < d.start + d.duration)).astype(float)
+        du = np.zeros((n_steps + 1, n_nodes))
+    except (MemoryError, ValueError, IndexError) as exc:  # numpy's refusals of arrays past its size limit
+        raise DstabError(f"cannot allocate the time grid and trajectory of {n_steps} RK4 steps: {exc}") from exc
+    x = np.zeros(n_states)
+    starts = np.flatnonzero(np.diff(w, prepend=-1.0)).tolist()  # first step of each run
 
-    # Over a run of constant input, the outputs of the next m steps are
-    # y_{i+j} = C P^j x_i + C s_j w (s_j = sum_{l<j} P^l q): one product with
-    # the stacked maps C P^j per block.  Their set-up (the maps and P^m) costs
-    # up to m N^3 against n_steps N^2 for stepping, so a block is at most
-    # n_steps / N steps long; below two steps no maps are built.
+    # Fewer than 2N steps cannot pay for P below (N^3): they take RK4's stages on hA's nonzeros.
     block = min(_MAX_BLOCK, n_steps // n_states)
-    if block > 1:
+    if block <= 1:
+        nz = a_cl != 0
+        nz[~nz.any(axis=1)] = True  # reduceat cannot sum an empty row
+        rows, cols = np.nonzero(nz)
+        h_vals, heads = dt * a_cl[rows, cols], np.flatnonzero(np.diff(rows, prepend=-1))
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+            for start, stop in zip(starts, starts[1:] + [n_steps]):
+                h_bw = dt * w[start] * b_d
+                for step in range(start, stop):
+                    k1 = np.add.reduceat(h_vals * x[cols], heads) + h_bw
+                    k2 = np.add.reduceat(h_vals * (x + k1 / 2)[cols], heads) + h_bw
+                    k3 = np.add.reduceat(h_vals * (x + k2 / 2)[cols], heads) + h_bw
+                    k4 = np.add.reduceat(h_vals * (x + k3)[cols], heads) + h_bw
+                    x = x + (k1 + 2 * k2 + 2 * k3 + k4) / 6
+                    du[step + 1] = output(x)
+    else:
+        # With the input held over a step, one RK4 step of x' = A x + b w is
+        # exactly x <- P x + q w, where P = sum_{k<=4} (hA)^k / k! and
+        # q = h sum_{k<=3} (hA)^k / (k+1)! b.  Both are evaluated by Horner's
+        # rule, P one column block at a time (block j of hA P needs only block j
+        # of P) so that no third N x N array is live.
+        h_a = a_cl
+        h_a *= dt  # a_cl is not needed after the step check
+        p = np.empty_like(h_a)
+        for j in range(0, n_states, _HORNER_COLS):
+            eye = np.eye(n_states, min(_HORNER_COLS, n_states - j), -j)
+            blk = eye + h_a[:, j : j + _HORNER_COLS] / 4
+            for k in (3, 2, 1):
+                blk = eye + h_a @ blk / k
+            p[:, j : j + _HORNER_COLS] = blk
+        q = b_d
+        for k in (4, 3, 2):
+            q = b_d + h_a @ q / k
+        q = dt * q
+        del a_cl, h_a  # only P and q are needed from here on
+
+        # Over a run of constant input, the outputs of the next m steps are
+        # y_{i+j} = C P^j x_i + C s_j w (s_j = sum_{l<j} P^l q): one product with
+        # the stacked maps C P^j per block.  Their set-up (the maps and P^m) costs
+        # up to m N^3 against n_steps N^2 for stepping, so a block is at most
+        # n_steps / N steps long.
         maps = np.empty((block, n_nodes, n_states))
         maps[0] = output(p)
         s = np.empty((block, n_states))
@@ -194,20 +216,17 @@ def simulate(m: SystemModel, d: DisturbanceSpec, t_end: float, dt: float) -> Tra
         forced = output(s.T).T
         p_block = np.linalg.matrix_power(p, block)
 
-    x = np.zeros(n_states)
-    du = np.zeros((n_steps + 1, n_nodes))
-    starts = np.flatnonzero(np.diff(w, prepend=-1.0)).tolist()  # first step of each run
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        for start, stop in zip(starts, starts[1:] + [n_steps]):
-            w_run = w[start]
-            step = start
-            while block > 1 and stop - step >= block:
-                du[step + 1 : step + block + 1] = (maps @ x).reshape(block, n_nodes) + w_run * forced
-                x = p_block @ x + w_run * s[-1]
-                step += block
-            for step in range(step, stop):
-                x = p @ x + w_run * q
-                du[step + 1] = output(x)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+            for start, stop in zip(starts, starts[1:] + [n_steps]):
+                w_run = w[start]
+                step = start
+                while stop - step >= block:
+                    du[step + 1 : step + block + 1] = (maps @ x).reshape(block, n_nodes) + w_run * forced
+                    x = p_block @ x + w_run * s[-1]
+                    step += block
+                for step in range(step, stop):
+                    x = p @ x + w_run * q
+                    du[step + 1] = output(x)
     finite = np.isfinite(du).all(axis=1)
     if not finite.all():
         raise DivergenceError(

@@ -591,6 +591,9 @@ class TestSimulateCmd:
             {"dt_s": math.nan},
             {"t_end_s": math.inf},
             {"t_end_s": 0.06},  # before the end of the pulse (0.05 s + 0.02 s)
+            {"t_end_s": 0.074, "dt_s": 0.05},  # one step, its midpoint 0.025 s before the pulse
+            {"t_end_s": 0.08, "dt_s": 0.2},  # round(0.4) = 0 steps
+            {"t_end_s": 1e308, "dt_s": 1e-308},  # t_end_s / dt_s overflows
             {"band": "x"},
             {"band": 0.0},
             {"band": 1.0},
@@ -598,7 +601,7 @@ class TestSimulateCmd:
             [0.6, 2e-5],
         ],
         ids=["dt-negative", "dt-zero", "dt-nan", "t-end-inf", "t-end-in-pulse",
-             "band-string", "band-zero", "band-one", "band-nan", "not-an-object"],
+             "no-midpoint-in-pulse", "zero-steps", "step-count-inf", "band-string", "band-zero", "band-one", "band-nan", "not-an-object"],
     )
     @pytest.mark.parametrize("command", ["simulate", "check"])
     def test_bad_simulation_block_exits_2(self, capsys, tmp_path, simulation, command):
@@ -612,6 +615,18 @@ class TestSimulateCmd:
         code, _, err = run(capsys, command, str(path))
         assert code == 2
         assert '"error":"input"' in err and "simulation" in err
+
+    @pytest.mark.parametrize("t_end", [2.0**61, 2.0**63, 1e19], ids=["too-big", "linspace-2**63", "max-size"])
+    def test_trajectory_beyond_numpy_sizes_exits_2(self, capsys, tmp_path, t_end):
+        # every time grid here exceeds 2**63 bytes, which numpy refuses before asking for memory
+        def mutate(raw):
+            raw["disturbance"].update(start_s=0.0, duration_s=1.0)
+            raw["simulation"].update(t_end_s=t_end, dt_s=1.0)
+
+        code, out, err = run(capsys, "simulate", str(toy_variant(tmp_path, mutate)))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "input"
+        assert f"of {round(t_end)} RK4 steps" in err
 
     def test_diverging_trajectory_exits_3(self, tmp_path):
         # RK4 at dt = 1 ms is unstable for toy3 and overflows within 20 s

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import math
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,10 @@ from dstab.errors import DivergenceError, DstabError
 from dstab.network import NodePartition, build_admittance
 from dstab.regions import shifted_lhp
 from dstab.sim import DisturbanceSpec, Trajectory, metrics, simulate
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import meshgen  # noqa: E402
 
 
 @pytest.fixture
@@ -55,7 +62,8 @@ def output_rows(m: SystemModel) -> np.ndarray:
 
 
 def rk4_reference(m: SystemModel, d: DisturbanceSpec, t_end: float, dt: float) -> Trajectory:
-    """The per-step RK4 loop that `simulate` replaces with its propagator."""
+    """The per-step RK4 loop, dense: `simulate` replaces it with its propagator
+    or, on a run shorter than 2N steps, with the same stages on A's nonzeros."""
     a_cl = assemble_closed_loop(m)
     c_l, y_l = m.load_cy[m.network.partition.load_ids.index(d.node)]
     amps = d.magnitude * y_l * m.equilibrium_u[d.node]
@@ -81,7 +89,8 @@ def rk4_reference(m: SystemModel, d: DisturbanceSpec, t_end: float, dt: float) -
 
 class TestPropagator:
     """`simulate` advances by the RK4 one-step propagator, in blocks of up to
-    64 steps when n_steps // N allows it; the per-step loop is the reference."""
+    64 steps when n_steps // N allows it, and stage by stage below 2N steps;
+    the per-step loop is the reference."""
 
     @pytest.mark.parametrize(
         "start, duration, t_end, dt",
@@ -89,7 +98,7 @@ class TestPropagator:
             (0.0128, 0.0128, 0.0384, 1e-4),  # edges on the grid, runs of whole 64-step blocks
             (0.01234, 0.00567, 0.0256, 1e-4),  # edges between grid points
             (0.005, 0.0081, 0.02, 1e-4),  # runs of 50, 81 and 69 steps: partial blocks
-            (0.001, 0.002, 0.004, 1e-3),  # 4 steps on 5 states: no block, plain steps
+            (0.001, 0.002, 0.004, 1e-3),  # 4 steps on 5 states: the staged route
         ],
         ids=["edges-on-grid", "edges-off-grid", "partial-blocks", "block-of-one"],
     )
@@ -112,6 +121,118 @@ class TestPropagator:
         ref = rk4_reference(model, sc.disturbance, 0.15, sc.dt)
         peak = float(np.max(np.abs(ref.du)))
         assert float(np.max(np.abs(tr.du - ref.du))) <= 1e-12 * peak
+
+
+class TestStagedRoute:
+    """Below 2N steps (N states) `simulate` builds no propagator: it steps
+    through the four RK4 stages on the nonzeros of hA, row by row."""
+
+    @staticmethod
+    def assert_matches_reference(model, d, t_end, dt):
+        tr = quiet_simulate(model, d, t_end=t_end, dt=dt)
+        ref = rk4_reference(model, d, t_end, dt)
+        peak = float(np.max(np.abs(ref.du)))
+        assert peak > 0.0
+        assert np.array_equal(tr.t, ref.t)
+        assert float(np.max(np.abs(tr.du - ref.du))) <= 1e-13 * peak
+
+    @pytest.mark.parametrize("n_steps, staged", [(9, True), (10, False)])
+    def test_switch_at_twice_the_state_count(self, toy_model, monkeypatch, n_steps, staged):
+        # 5 states: 9 steps give n_steps // N = 1 (staged), 10 give a block of 2
+        powers = []
+        matrix_power = np.linalg.matrix_power
+        monkeypatch.setattr(np.linalg, "matrix_power", lambda a, k: powers.append(k) or matrix_power(a, k))
+        d = DisturbanceSpec(node=2, magnitude=0.01, start=0.002, duration=0.003)
+        self.assert_matches_reference(toy_model, d, n_steps * 1e-3, 1e-3)
+        assert powers == ([] if staged else [2])
+
+    def test_ieee39_short_run(self):
+        from dstab.scenario import build_model, data_path, load_scenario
+
+        sc = load_scenario(data_path("ieee39_synthesized"))
+        model = build_model(sc)
+        # 120 steps on 63 states, the pulse moved to steps 30..69
+        d = DisturbanceSpec(sc.disturbance.node, sc.disturbance.magnitude, start=30 * sc.dt, duration=40 * sc.dt)
+        self.assert_matches_reference(model, d, 120 * sc.dt, sc.dt)
+
+    def test_mesh_cut_to_600_steps(self, monkeypatch, tmp_path):
+        from dstab.scenario import build_model, load_scenario
+
+        sc = load_scenario(meshgen.write_scenario(meshgen.mesh_scenario(200, 1), tmp_path / "mesh.json"))
+        model = build_model(sc)
+        assert 600 // assemble_closed_loop(model).shape[0] == 1
+        monkeypatch.setattr(np.linalg, "matrix_power", None)  # the propagator route is not taken
+        self.assert_matches_reference(model, sc.disturbance, 600 * sc.dt, sc.dt)
+
+    @pytest.mark.parametrize("rows", [[0], [2, 3], [4]], ids=["first", "adjacent", "last"])
+    def test_empty_rows(self, toy_model, monkeypatch, rows):
+        # np.add.reduceat returns an element, not zero, for an empty segment
+        a_cl = assemble_closed_loop(toy_model)
+        a_cl[rows] = 0.0
+        monkeypatch.setattr(sim, "assemble_closed_loop", lambda m: a_cl.copy())
+        monkeypatch.setitem(globals(), "assemble_closed_loop", lambda m: a_cl.copy())  # rk4_reference's
+        d = DisturbanceSpec(node=2, magnitude=0.01, start=0.001, duration=0.004)
+        self.assert_matches_reference(toy_model, d, 0.009, 1e-3)
+
+    @pytest.mark.parametrize("dt", [1e-3, 1e-2])
+    def test_overflow_raises_after_the_warning(self, dt):
+        from dstab.scenario import build_model, data_path, load_scenario
+
+        sc = load_scenario(data_path("ieee39_synthesized"))
+        model = build_model(sc)
+        d = DisturbanceSpec(sc.disturbance.node, 0.01, start=dt, duration=2 * dt)
+        t_end = 100 * dt  # 100 steps on 63 states
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = rk4_reference(model, d, t_end, dt)
+        first = ref.t[np.argmin(np.isfinite(ref.du).all(axis=1))]
+        assert first < t_end
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(DivergenceError) as err:
+            warnings.simplefilter("always")
+            simulate(model, d, t_end=t_end, dt=dt)
+        assert [str(w.message).startswith(f"step dt = {dt:.3g} s is unstable for RK4") for w in caught] == [True]
+        named = float(str(err.value).split("not finite from t = ")[1].split(" s")[0])
+        # The dense reference turns every state NaN (0 * inf) in the step where
+        # one overflows; the rows of A's nonzeros pass it on along A's graph,
+        # so an output can leave the finite floats a step later.
+        assert named in (pytest.approx(first), pytest.approx(first + dt))
+
+
+class TestPulseOnTheGrid:
+    """`load_scenario` rejects a step grid on which no step midpoint, where
+    `simulate` samples the pulse, falls in [start, start + duration)."""
+
+    def test_agrees_with_the_simulated_grid(self, tmp_path, rng):
+        from dstab.errors import ScenarioError
+        from dstab.scenario import data_path, load_scenario
+
+        raw = json.loads(data_path("toy3").read_text())
+        path = tmp_path / "toy3.json"
+        verdicts = []
+        for _ in range(400):
+            dt = float(10.0 ** rng.uniform(-6, 0))
+            n_steps = int(10.0 ** rng.uniform(0, 5))
+            t = np.linspace(0.0, n_steps * dt, n_steps + 1)  # simulate's grid
+            mid = t[:-1] + 0.5 * dt
+            # a pulse starting on a midpoint or an ulp off it, as short as an
+            # ulp or up to two steps long, or starting before the grid
+            start = float(np.nextafter(mid[rng.integers(n_steps)], math.inf) if rng.random() < 0.5 else mid[0])
+            start = [start, float(np.nextafter(start, -math.inf)), -dt * rng.random()][rng.integers(3)]
+            duration = [float(np.spacing(abs(start)) or dt), 2 * dt * rng.random()][rng.integers(2)]
+            end = start + duration
+            if not end < n_steps * dt:
+                continue
+            raw["disturbance"].update(start_s=start, duration_s=duration)
+            raw["simulation"].update(t_end_s=n_steps * dt, dt_s=dt)
+            path.write_text(json.dumps(raw))
+            hit = bool(np.any((start <= mid) & (mid < end)))
+            try:
+                load_scenario(path)
+                verdicts.append((hit, True))
+            except ScenarioError as exc:
+                assert "midpoint in the disturbance pulse" in str(exc)
+                verdicts.append((hit, False))
+        assert all(hit == accepted for hit, accepted in verdicts)
+        assert min(sum(hit for hit, _ in verdicts), sum(not hit for hit, _ in verdicts)) >= 50
 
 
 class TestSimulate:
