@@ -63,14 +63,14 @@ class GenericSecondOrder:
         return CRational.from_coeffs([self.c0, self.c1], [self.d0, self.d1, 1.0])
 
     @classmethod
-    def from_tf(cls, tf: CRational) -> GenericSecondOrder | None:
-        """The coefficients of ``tf`` if it has the generic form with real
-        coefficients, c1 > 0 and c0 >= 0; otherwise None.  A CRational keeps
-        its denominator monic, so den[1] and den[0] are d1 and d0."""
-        num, den = tf.num.coeffs, tf.den.coeffs
-        if len(num) != 2 or len(den) != 3 or any(c.imag for c in num + den) or num[1].real <= 0 or num[0].real < 0:
+    def from_tf(cls, num: np.ndarray, den: np.ndarray) -> GenericSecondOrder | None:
+        """The coefficients of a subsystem's rows in a ``SystemModel`` table
+        (ascending, zero-padded, the denominator monic) if it has the generic
+        form: degree 1 over degree 2, real, c1 > 0 and c0 >= 0; else None."""
+        num, den = np.trim_zeros(num, "b"), np.trim_zeros(den, "b")
+        if len(num) != 2 or len(den) != 3 or num.imag.any() or den.imag.any() or num[1].real <= 0 or num[0].real < 0:
             return None
-        return cls(num[1].real, num[0].real, den[1].real, den[0].real)
+        return cls(*(float(c.real) for c in (num[1], num[0], den[1], den[0])))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cpoly import CRational
+from .cpoly import CRational, norms_and_degrees
 from .devices import ComplianceReport, GenericSecondOrder, index_cap, loop_transform_rows
 from .errors import NonProperError
 from .network import (
@@ -38,7 +38,9 @@ class SystemModel:
     derived from ``load_cy`` (per-load (capacitance, conductance) pairs) or
     minus the source positivity index from ``y_s``; without them it is 0.
     ``y_s`` has one row of source indices per region part, or one row that
-    every part shares.
+    every part shares.  ``num`` and ``den`` are the subsystems' ascending
+    coefficients as read-only complex rows, zero-padded to the widest of each,
+    built once for every reader.
     """
 
     subsystems: tuple[CRational, ...]
@@ -53,9 +55,14 @@ class SystemModel:
         n = self.network.n_nodes
         if len(self.subsystems) != n:
             raise ValueError(f"expected {n} subsystems, got {len(self.subsystems)}")
-        for k, g in enumerate(self.subsystems):
-            if not g.is_proper:
-                raise NonProperError(f"subsystem {k} is not proper")
+        for name in ("num", "den"):
+            rows = [getattr(g, name).coeffs for g in self.subsystems]
+            width = max(map(len, rows))
+            table = np.array([c + (0j,) * (width - len(c)) for c in rows])
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
+        for k in np.flatnonzero(norms_and_degrees(self.num)[1] > norms_and_degrees(self.den)[1])[:1]:
+            raise NonProperError(f"subsystem {k} is not proper")
         if self.load_cy is not None and len(self.load_cy) != len(self.network.partition.load_ids):
             raise ValueError("load_cy must align with the load partition")
         if self.y_s is not None:
@@ -128,47 +135,39 @@ class CertificationReport:
         }
 
 
-def _realization(g: CRational) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Controllable canonical form of a strictly proper real-rational function."""
-    if not g.is_strictly_proper:
-        raise NonProperError("closed-loop assembly requires strictly proper subsystems")
-    den = g.den.real_coeffs(tol=1e-9)
-    num = g.num.real_coeffs(tol=1e-9)
-    m = den.degree
-    a = np.zeros((m, m))
-    for i in range(m - 1):
-        a[i, i + 1] = 1.0
-    for i in range(m):
-        a[m - 1, i] = -den.coeffs[i].real
-    b = np.zeros((m, 1))
-    b[m - 1, 0] = 1.0
-    c = np.zeros((1, m))
-    for i, coeff in enumerate(num.coeffs):
-        c[0, i] = coeff.real
-    return a, b, c
+def _companion(m: SystemModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each node's state count, input (last) state and output gather in the
+    controllable canonical realization: numerator coefficient i reads state
+    i of its node, or the node's first state where the row is zero padding.
+    The lowest node that is not strictly proper raises NonProperError; one
+    with no state or imaginary parts past 1e-9 of its max-norm, ValueError."""
+    (num_norm, num_deg), (den_norm, dims) = norms_and_degrees(m.num), norms_and_degrees(m.den)
+    improper = num_deg >= dims
+    not_real = ((np.abs(m.num.imag).max(axis=1) > 1e-9 * np.maximum(num_norm, 1e-300))
+                | (np.abs(m.den.imag).max(axis=1) > 1e-9 * np.maximum(den_norm, 1e-300)))
+    for k in np.flatnonzero(improper | not_real | (dims == 0))[:1]:
+        if improper[k]:
+            raise NonProperError("closed-loop assembly requires strictly proper subsystems")
+        raise ValueError(f"subsystem {k} has {'coefficients that are not real' if not_real[k] else 'no state'}")
+    first, i = np.cumsum(dims) - dims, np.arange(m.num.shape[1])
+    return dims, first + dims - 1, first[:, None] + i * (i <= num_deg[:, None])
 
 
 def assemble_closed_loop(m: SystemModel) -> np.ndarray:
-    """Closed-loop state matrix A - B Y C of the interconnection u = -Y y.
-
-    In the controllable canonical form B is e_last per node and C is each
-    node's numerator row, so B Y C is zero but in each node's last state
-    row, whose entry j is Y[node, node of state j] * c[j]: one product per
-    entry, the bits the dense product gives."""
-    blocks = [_realization(g) for g in m.subsystems]
-    dims = [a.shape[0] for a, _, _ in blocks]
-    n_states = sum(dims)
+    """Closed-loop state matrix A - B Y C of the interconnection u = -Y y,
+    indexed out of the model's rows.  In the controllable canonical form B is
+    e_last per node and C is each node's numerator row, so B Y C is zero but
+    in each node's last state row, whose entry j is Y[node, node of state j]
+    * c[j]: one product per entry, the bits the dense product gives."""
+    dims, last, gather = _companion(m)
+    node = np.repeat(np.arange(len(dims)), dims)
+    n_states, pos = len(node), np.arange(len(node)) - gather[node, 0]  # pos: each state's place in its node
     A = np.zeros((n_states, n_states))
-    c_full = np.zeros(n_states)
-    offset = 0
-    for a, _, c in blocks:
-        d = a.shape[0]
-        A[offset : offset + d, offset : offset + d] = a
-        c_full[offset : offset + d] = c[0, :]
-        offset += d
-    node_of_state = np.repeat(np.arange(len(blocks)), dims)
+    A[np.arange(n_states - 1), np.arange(1, n_states)] = pos[1:] > 0  # ones above each block's diagonal
+    A[last[node], np.arange(n_states)] = -m.den.real[node, pos]
+    c_full = np.pad(m.num.real, ((0, 0), (0, m.den.shape[1])))[node, pos]
     # + 0.0: a zero product enters as +0.0, as the dense product's sum has it
-    A[np.cumsum(dims) - 1] -= m.network.Y[:, node_of_state] * c_full + 0.0
+    A[last] -= m.network.Y[:, node] * c_full + 0.0
     return A
 
 
@@ -181,12 +180,6 @@ def closed_loop_poles(m: SystemModel) -> list[complex]:
     scale = max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 1.0)
     cleaned = [complex(e.real, 0.0) if abs(e.imag) < 1e-9 * scale else complex(e) for e in eigs]
     return sorted(cleaned, key=lambda z: (z.real, z.imag))
-
-
-def _padded(coeffs: list[tuple[complex, ...]]) -> np.ndarray:
-    """Coefficient tuples as rows zero-padded to the widest."""
-    width = max(map(len, coeffs))
-    return np.array([c + (0j,) * (width - len(c)) for c in coeffs])
 
 
 def part_positivity(
@@ -205,11 +198,10 @@ def part_positivity(
         for k, rep, y in zip(m.network.partition.source_ids, compliance or (), m.y_s_for_part(part_index))
         if rep.compliant and rep.y_s == y
     }
-    num, den = loop_transform_rows(_padded([g.num.coeffs for g in m.subsystems]),
-                                   _padded([g.den.coeffs for g in m.subsystems]), part, m.part_rho(part, part_index))
-    nodes = [k for k in range(len(m.subsystems)) if k not in decided]
+    num, den = loop_transform_rows(m.num, m.den, part, m.part_rho(part, part_index))
+    nodes = [k for k in range(len(num)) if k not in decided]
     decided.update(zip(nodes, check_positive_rows(num[nodes], den[nodes])))
-    return num, den, [decided[k] for k in range(len(m.subsystems))]
+    return num, den, [decided[k] for k in range(len(num))]
 
 
 def _certify_part(
@@ -229,7 +221,7 @@ def _certify_part(
         elif not network_ok:
             # The binding source: the lowest index, on a tie the lowest node.
             y, node = min(zip(y_s, m.network.partition.source_ids))
-            g = GenericSecondOrder.from_tf(m.subsystems[node])
+            g = GenericSecondOrder.from_tf(m.num[node], m.den[node])
             cap = index_cap(g, part) if g is not None else None
             at = f"node {node + 1}" + (f" (cap {cap:.6g})" if cap is not None else "")
             notes.append(f"source index {y:.6g} at {at} below the network floor {grid_code.bound:.6g}")

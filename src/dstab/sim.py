@@ -3,7 +3,8 @@
 The load disturbance is modeled as an additive current injection of
 ``magnitude * P / u*`` amps at the disturbed load node (the small-signal
 equivalent of a fractional load-power step), integrated with fixed-step RK4
-through its exact one-step propagator, or stage by stage below 2N steps (N states).
+through its exact one-step propagator, or stage by stage below 2N steps (N states),
+on the state layout of the oracle's realization in :mod:`dstab.dstability`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dstability import SystemModel, assemble_closed_loop
+from .dstability import SystemModel, _companion, assemble_closed_loop
 from .errors import DivergenceError, DstabError
 
 # Column width of the in-place Horner evaluation of the RK4 propagator.
@@ -92,6 +93,8 @@ def simulate(m: SystemModel, d: DisturbanceSpec, t_end: float, dt: float) -> Tra
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    if not math.isfinite(t_end / dt):
+        raise ValueError(f"t_end / dt ({t_end!r} / {dt!r}) gives a step count of {t_end / dt!r}, not a finite one")
     if t_end <= d.start + d.duration:
         raise ValueError("t_end must exceed the end of the disturbance pulse")
     part = m.network.partition
@@ -126,24 +129,13 @@ def simulate(m: SystemModel, d: DisturbanceSpec, t_end: float, dt: float) -> Tra
     amps = d.magnitude * y_l * u_star  # magnitude * P / u*
 
     # Input column of the disturbed subsystem; an extra load draw enters the
-    # device input with the same sign as the network current.
-    n_states, n_nodes = a_cl.shape[0], len(m.subsystems)
-    dims = [g.den.degree for g in m.subsystems]
+    # device input with the same sign as the network current.  Node k's output
+    # reads its own states through its numerator row: the realization's gather.
+    _, last, out_idx = _companion(m)
+    n_states, n_nodes = a_cl.shape[0], len(last)
     b_d = np.zeros(n_states)
-    b_d[sum(dims[: d.node + 1]) - 1] = -amps
-
-    # Node k's output reads its own states through the numerator coefficients
-    # of its canonical realization, so the output map is kept as that gather.
-    width = max(len(g.num.coeffs) for g in m.subsystems)
-    out_idx = np.zeros((n_nodes, width), dtype=int)
-    out_coef = np.zeros((n_nodes, width))
-    pos = 0
-    for k, g in enumerate(m.subsystems):
-        n_coef = len(g.num.coeffs)
-        out_idx[k] = pos
-        out_idx[k, :n_coef] += np.arange(n_coef)
-        out_coef[k, :n_coef] = [c.real for c in g.num.coeffs]
-        pos += dims[k]
+    b_d[last[d.node]] = -amps
+    out_coef = np.ascontiguousarray(m.num.real)
 
     def output(states: np.ndarray) -> np.ndarray:
         """C @ states for a state vector or a matrix of state columns."""

@@ -16,7 +16,7 @@ import numpy as np
 
 from dstab.cpoly import CLUSTER_TOL, CPoly, CRational, cluster_roots, roots
 from dstab.devices import CplParams, cpl_conductance
-from dstab.dstability import SystemModel, _realization
+from dstab.dstability import SystemModel
 from dstab.errors import DegenerateLoopError, DstabError, NonProperError, NotAPoleError
 from dstab.positivity import (POLE_TOL, STRICT_TOL, FailedCondition, PositivityReport, _cluster_poles,
                               check_positive_siso)
@@ -380,6 +380,26 @@ def check_pr_real_matrix(M: RealRationalMatrix2x2) -> PositivityReport:
 
 # ---------------------------------------------------------------------------
 # closed-loop state matrix and the RK4 step warning of `simulate`
+
+def _realization(g: CRational) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Controllable canonical form of a strictly proper real-rational function."""
+    if not g.is_strictly_proper:
+        raise NonProperError("closed-loop assembly requires strictly proper subsystems")
+    den = g.den.real_coeffs(tol=1e-9)
+    num = g.num.real_coeffs(tol=1e-9)
+    m = den.degree
+    a = np.zeros((m, m))
+    for i in range(m - 1):
+        a[i, i + 1] = 1.0
+    for i in range(m):
+        a[m - 1, i] = -den.coeffs[i].real
+    b = np.zeros((m, 1))
+    b[m - 1, 0] = 1.0
+    c = np.zeros((1, m))
+    for i, coeff in enumerate(num.coeffs):
+        c[0, i] = coeff.real
+    return a, b, c
+
 
 def assemble_closed_loop_dense(m: SystemModel) -> np.ndarray:
     """A - B Y C from the dense block-diagonal realization matrices."""

@@ -76,6 +76,31 @@ class TestCoefficientMaps:
         assert g.d1 == pytest.approx(a / c_eq)
         assert g.d0 == pytest.approx(38.76 * 0.5 * 36.12 / (u * c_eq))
 
+    @pytest.mark.parametrize(
+        "num, den, expected",
+        [
+            ([2.0, 3.0], [5.0, 7.0, 1.0], (3.0, 2.0, 7.0, 5.0)),
+            ([2.0, 3.0, 0.0], [5.0, 7.0, 1.0, 0.0, 0.0], (3.0, 2.0, 7.0, 5.0)),  # zero-padded rows
+            ([0.0, 3.0, 0.0], [5.0, 7.0, 1.0], (3.0, 0.0, 7.0, 5.0)),  # c0 = 0
+            ([2.0, 3.0, 1.0], [5.0, 7.0, 1.0, 1.0], None),  # third order
+            ([2.0, 0.0], [5.0, 7.0, 1.0], None),  # degree 0 over degree 2
+            ([2.0, 3.0], [5.0, 1.0, 0.0], None),  # degree 1 over degree 1
+            ([2.0, -3.0], [5.0, 7.0, 1.0], None),  # c1 < 0
+            ([-2.0, 3.0], [5.0, 7.0, 1.0], None),  # c0 < 0
+            ([2.0, 3.0 + 1e-300j], [5.0, 7.0, 1.0], None),  # not real
+            ([2.0, 3.0], [5.0, 7.0 + 1e-300j, 1.0], None),
+        ],
+        ids=["generic", "padded", "c0-zero", "third-order", "degree-0-num", "degree-1-den", "c1-negative",
+             "c0-negative", "complex-num", "complex-den"],
+    )
+    def test_generic_second_order_from_table_rows(self, num, den, expected):
+        g = dev.GenericSecondOrder.from_tf(np.array(num, dtype=complex), np.array(den, dtype=complex))
+        if expected is None:
+            assert g is None
+        else:
+            assert (g.c1, g.c0, g.d1, g.d0) == expected
+            assert all(type(v) is float for v in (g.c1, g.c0, g.d1, g.d0))
+
     def test_generic_second_order_validation(self):
         with pytest.raises(ValueError):
             dev.GenericSecondOrder(0.0, 1.0, 1.0, 1.0)

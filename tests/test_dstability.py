@@ -70,6 +70,15 @@ def star_system():
     return Y, buck, cpl, u_star, subsystems, load_cy
 
 
+def mixed_degree_model() -> SystemModel:
+    """2s / (s^2 + 3s + 1) has an exact zero constant coefficient; 1 / (s + 4) has one state."""
+    part = NodePartition((0, 1), (2,))
+    Y = build_admittance([(0, 2, 0.1), (1, 2, 0.25)], 3, part)
+    subs = (CRational.from_coeffs([0.0, 2.0], [1.0, 3.0, 1.0]), CRational.from_coeffs([1.0], [4.0, 1.0]),
+            CRational.from_coeffs([0.5, -1.5], [2.0, 0.5, 1.0]))
+    return SystemModel(subs, Y, shifted_lhp(0.0))
+
+
 class TestAssembly:
     def test_integrator_pair(self):
         m = pair_model()
@@ -89,6 +98,53 @@ class TestAssembly:
         m = SystemModel((CRational.from_coeffs([1.0, 1.0], [2.0, 1.0]),), Y, shifted_lhp(0.0))
         with pytest.raises(NonProperError):
             assemble_closed_loop(m)
+
+    @pytest.mark.parametrize(
+        "rows, error, match",
+        [
+            # imaginary parts 2e-9 of the row's max-norm, past the 1e-9 band
+            ([([1.0], [1.0 + 2e-9j, 1.0])], ValueError, "subsystem 0 has coefficients that are not real"),
+            ([([1.0], [1.0, 1.0]), ([1.0, 2e-9j], [1.0, 1.0, 1.0])], ValueError, "subsystem 1 .* not real"),
+            # the lowest offending node decides which error is raised
+            ([([1.0, 1.0], [2.0, 1.0]), ([1.0], [1j, 1.0])], NonProperError, "strictly proper"),
+            ([([1.0], [1j, 1.0]), ([1.0, 1.0], [2.0, 1.0])], ValueError, "subsystem 0 .* not real"),
+            # a zero function over a constant has no state to realize it
+            ([([1.0], [1.0, 1.0]), ([0.0], [1.0]), ([3.0], [2.0, 1.0])], ValueError, "^subsystem 1 has no state$"),
+        ],
+        ids=["complex-den", "complex-num", "biproper-first", "complex-first", "no-state"],
+    )
+    def test_rejected_rows(self, rows, error, match):
+        part = NodePartition(tuple(range(len(rows))), ())
+        Y = AdmittanceMatrix(np.zeros((len(rows), len(rows))), part)
+        m = SystemModel(tuple(CRational.from_coeffs(n, d) for n, d in rows), Y, shifted_lhp(0.0))
+        with pytest.raises(error, match=match):
+            assemble_closed_loop(m)
+
+    def test_imaginary_parts_inside_the_band_are_dropped(self):
+        part = NodePartition((0,), ())
+        Y = AdmittanceMatrix(np.array([[0.0]]), part)
+        m = SystemModel((CRational.from_coeffs([2.0 + 5e-10j], [3.0 - 5e-10j, 1.0]),), Y, shifted_lhp(0.0))
+        assert np.array_equal(assemble_closed_loop(m), [[-3.0]])
+
+    def test_improper_subsystem_named(self):
+        part = NodePartition((0, 1, 2), ())
+        Y = AdmittanceMatrix(np.zeros((3, 3)), part)
+        improper = CRational.from_coeffs([1.0, 1.0, 1.0], [1.0, 1.0])
+        with pytest.raises(NonProperError, match="^subsystem 1 is not proper$"):
+            SystemModel((integrator(), improper, improper), Y, shifted_lhp(0.0))
+        # biproper passes the properness check; only the oracle needs strict properness
+        SystemModel((integrator(), CRational.from_coeffs([1.0, 1.0], [2.0, 1.0]), integrator()), Y, shifted_lhp(0.0))
+
+    @pytest.mark.parametrize("source", ["toy3", "mixed-degree"])
+    def test_table_rows_are_the_coefficients_then_zeros(self, source):
+        m = build_model(load_scenario(data_path(source))) if source == "toy3" else mixed_degree_model()
+        for table, polys in ((m.num, [g.num for g in m.subsystems]), (m.den, [g.den for g in m.subsystems])):
+            assert table.dtype == complex and not table.flags.writeable
+            assert table.shape == (len(polys), max(len(p.coeffs) for p in polys))
+            for row, p in zip(table, polys):
+                k = len(p.coeffs)
+                assert row[:k].tolist() == list(p.coeffs)
+                assert not row[k:].any() and not np.signbit(row[k:].real).any() and not np.signbit(row[k:].imag).any()
 
     def test_eigenpair_residual_contract(self, rng):
         for _ in range(5):
@@ -113,8 +169,9 @@ class TestAssembly:
         conj = [p.conjugate() for p in poles]
         assert match_distance(poles, conj) < 1e-9
 
-    @pytest.mark.parametrize("source", ["toy3", "ieee39_default", "ieee39_synthesized", (64, 1), (200, 1)],
-                             ids=["toy3", "ieee39_default", "ieee39_synthesized", "mesh-n64-s1", "mesh-n200-s1"])
+    @pytest.mark.parametrize("source", ["toy3", "ieee39_default", "ieee39_synthesized", (64, 1), (200, 1), (640, 1)],
+                             ids=["toy3", "ieee39_default", "ieee39_synthesized", "mesh-n64-s1", "mesh-n200-s1",
+                                  "mesh-n640-s1"])
     def test_structured_assembly_is_the_dense_product(self, tmp_path, source):
         if isinstance(source, str):
             path = data_path(source)
@@ -124,12 +181,7 @@ class TestAssembly:
         assert np.array_equal(assemble_closed_loop(m), assemble_closed_loop_dense(m))
 
     def test_structured_assembly_with_degree_one_node_and_zero_coefficient(self):
-        # 2s / (s^2 + 3s + 1) has an exact zero constant coefficient; 1 / (s + 4) has one state.
-        part = NodePartition((0, 1), (2,))
-        Y = build_admittance([(0, 2, 0.1), (1, 2, 0.25)], 3, part)
-        subs = (CRational.from_coeffs([0.0, 2.0], [1.0, 3.0, 1.0]), CRational.from_coeffs([1.0], [4.0, 1.0]),
-                CRational.from_coeffs([0.5, -1.5], [2.0, 0.5, 1.0]))
-        m = SystemModel(subs, Y, shifted_lhp(0.0))
+        m = mixed_degree_model()
         a_cl = assemble_closed_loop(m)
         assert a_cl.shape == (5, 5)
         assert np.array_equal(a_cl, assemble_closed_loop_dense(m))
@@ -226,6 +278,11 @@ class TestCertifyGridCode:
         third_order = CRational.from_coeffs([1.0, 1.0], [1.0, 3.0, 3.0, 1.0])
         m = dataclasses.replace(m, subsystems=(subsystems[0], third_order, subsystems[2]))
         expected = f"source index {gc.bound - 0.01:.6g} at node 2 below the network floor {gc.bound:.6g}"
+        assert certify_thm2(m, [gc]).parts[0].notes == (expected,)
+        # A generic binding source reads its rows zero-padded to a third-order node's width.
+        m = dataclasses.replace(m, subsystems=(third_order, subsystems[1], subsystems[2]))
+        expected = (f"source index {gc.bound - 0.01:.6g} at node 2 (cap {cap:.6g}) "
+                    f"below the network floor {gc.bound:.6g}")
         assert certify_thm2(m, [gc]).parts[0].notes == (expected,)
         # CRational scales a non-monic denominator to monic, so the cap is the same.
         scaled = CRational.from_coeffs([2.0 * buck.c0, 2.0 * buck.c1], [2.0 * buck.d0, 2.0 * buck.d1, 2.0])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import sys
@@ -16,6 +17,7 @@ from scipy.linalg import expm
 from crosscheck import rk4_step_warning
 from dstab import devices as dev
 from dstab import sim
+from dstab.cpoly import CRational
 from dstab.dstability import SystemModel, assemble_closed_loop, closed_loop_poles
 from dstab.errors import DivergenceError, DstabError
 from dstab.network import NodePartition, build_admittance
@@ -109,6 +111,20 @@ class TestPropagator:
         peak = float(np.max(np.abs(ref.du)))
         assert peak > 0.0
         assert np.array_equal(tr.t, ref.t)
+        assert float(np.max(np.abs(tr.du - ref.du))) <= 1e-12 * peak
+
+    @pytest.mark.parametrize("t_end, dt", [(0.02, 1e-4), (0.01, 1e-3)], ids=["blocked", "staged"])
+    def test_third_order_node_before_a_one_state_load(self, toy_model, t_end, dt):
+        # Node 1 has three states and a degree-2 numerator, so every numerator
+        # row is padded to width 3, and the last node, a one-state load, reads
+        # its output through a gather that must stay inside the N = 6 states.
+        third = CRational.from_coeffs([4000.0, 300.0, 10.0], [20000.0, 1400.0, 70.0, 1.0])
+        m = dataclasses.replace(toy_model, subsystems=(toy_model.subsystems[0], third, toy_model.subsystems[2]))
+        d = DisturbanceSpec(node=2, magnitude=0.01, start=0.002, duration=0.003)
+        tr = quiet_simulate(m, d, t_end=t_end, dt=dt)
+        ref = rk4_reference(m, d, t_end, dt)
+        peak = float(np.max(np.abs(ref.du)))
+        assert ref.du.shape[1] == 3 and assemble_closed_loop(m).shape == (6, 6) and peak > 0.0
         assert float(np.max(np.abs(tr.du - ref.du))) <= 1e-12 * peak
 
     def test_matches_per_step_rk4_on_ieee39(self):
@@ -302,6 +318,13 @@ class TestSimulate:
         d = DisturbanceSpec(node=2, magnitude=0.01, start=0.05, duration=0.02)
         with pytest.raises(DstabError):
             quiet_simulate(bare, d, t_end=0.2, dt=1e-4)
+
+    @pytest.mark.parametrize("t_end, dt", [(1e308, 1e-308), (math.inf, 1e-4), (math.nan, 1e-4)])
+    def test_non_finite_step_count_raises_before_any_array(self, toy_model, monkeypatch, t_end, dt):
+        monkeypatch.setattr(sim, "assemble_closed_loop", None)  # nothing past the argument checks runs
+        d = DisturbanceSpec(node=2, magnitude=0.01, start=0.05, duration=0.02)
+        with pytest.raises(ValueError, match=r"^t_end / dt \(.+ / .+\) gives a step count of (inf|nan), not a finite one$"):
+            simulate(toy_model, d, t_end=t_end, dt=dt)
 
     def test_pulse_must_fit_window(self, toy_model):
         d = DisturbanceSpec(node=2, magnitude=0.01, start=0.15, duration=0.1)
