@@ -1,11 +1,15 @@
-"""Complex-coefficient polynomial and rational-function algebra.
+"""Complex-coefficient polynomial and rational-function containers, and the
+companion-matrix root finder.
 
-``CPoly`` stores coefficients in ascending degree order; ``CRational`` keeps
-its denominator monic.  No pole-zero cancellation is ever performed
-implicitly -- cancellation can silently hide unstable hidden modes.  The
-s-domain chain and the 2x2 real embedding live in ``tests/crosscheck.py``.
+``CPoly`` stores coefficients in ascending degree order under one trim rule;
+``CRational`` keeps its denominator monic.  No pole-zero cancellation is ever
+performed implicitly -- cancellation can silently hide unstable hidden modes.
+The containers carry coefficients into ``SystemModel``; every decision works
+on coefficient rows.  Tests take the polynomial arithmetic from
+``numpy.polynomial`` and keep the s-domain chain and the 2x2 real embedding in
+``tests/crosscheck.py``.
 
-``roots_rows`` takes the eigenvalues of the companion matrices that
+``companion_roots`` takes the eigenvalues of the companion matrices that
 ``numpy.roots`` builds, a backward-stable root finder (Edelman & Murakami,
 Math. Comp. 64(210), 1995), for a whole stack of polynomials of one degree
 in one ``eigvals`` call; ``roots`` is its one-row call.  Tests cross-check
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleEvaluationError, RootFindingError
+from .errors import RootFindingError
 
 # Trailing coefficients below TRIM_TOL * max|c| are treated as zero.
 TRIM_TOL = 1e-14
@@ -46,75 +50,12 @@ class CPoly:
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", _trim(tuple(self.coeffs)))
 
-    @classmethod
-    def zero(cls) -> CPoly:
-        return cls((0j,))
-
-    @classmethod
-    def one(cls) -> CPoly:
-        return cls((1 + 0j,))
-
-    @classmethod
-    def from_roots(cls, roots: list[complex] | tuple[complex, ...]) -> CPoly:
-        c = np.array([1 + 0j])
-        for r in roots:
-            c = np.convolve(c, np.array([-complex(r), 1.0]))
-        return cls(tuple(c))
-
     @property
     def is_zero(self) -> bool:
         return len(self.coeffs) == 1 and self.coeffs[0] == 0
 
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return -1 if self.is_zero else len(self.coeffs) - 1
-
-    @property
-    def norm_inf(self) -> float:
-        return max(abs(c) for c in self.coeffs)
-
-    def __call__(self, z: complex | np.ndarray) -> complex | np.ndarray:
-        if isinstance(z, np.ndarray):
-            acc = np.zeros_like(z, dtype=complex)
-            for c in reversed(self.coeffs):
-                acc = acc * z + c
-            return acc
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
-    def derivative(self) -> CPoly:
-        if self.degree <= 0:
-            return CPoly.zero()
-        return CPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
-
-    def __add__(self, other: CPoly) -> CPoly:
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0j] * (n - len(self.coeffs))
-        for k, c in enumerate(other.coeffs):
-            a[k] += c
-        return CPoly(tuple(a))
-
-    def __sub__(self, other: CPoly) -> CPoly:
-        return self + other.scale(-1.0)
-
-    def __mul__(self, other: CPoly) -> CPoly:
-        if self.is_zero or other.is_zero:
-            return CPoly.zero()
-        return CPoly(tuple(np.convolve(np.array(self.coeffs), np.array(other.coeffs))))
-
     def scale(self, a: complex) -> CPoly:
         return CPoly(tuple(a * c for c in self.coeffs))
-
-    def real_coeffs(self, tol: float = 1e-9) -> CPoly:
-        """Drop imaginary parts, checking they are rounding noise."""
-        scale = max(self.norm_inf, 1e-300)
-        worst = max(abs(c.imag) for c in self.coeffs)
-        if worst > tol * scale:
-            raise ValueError(f"coefficients are not real: worst Im = {worst:.3e} (scale {scale:.3e})")
-        return CPoly(tuple(complex(c.real) for c in self.coeffs))
 
 
 def norms_and_degrees(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -153,8 +94,22 @@ def _companion_eigvals(p: np.ndarray) -> np.ndarray:
 
 
 def companion_roots(c: np.ndarray) -> np.ndarray:
-    """:func:`roots_rows` of complex rows already known to be finite with
-    nonzero leading coefficients."""
+    """All roots of every row of ``c`` (k, n + 1), complex ascending
+    coefficients of one degree n, finite, with nonzero leading coefficients:
+    companion-matrix eigenvalues, shape (k, n).
+
+    Each row goes through the companion matrix that ``numpy.roots`` builds
+    for it, with one ``eigvals`` call for the rows with real coefficients
+    (every imaginary part exactly zero) and one for the others; the real
+    eigensolver returns exact conjugate pairs, whose tied real parts leave
+    their order to the imaginary part.  Exactly-zero low-order coefficients
+    are roots at zero, as ``numpy.roots`` returns them.
+    Postcondition: every root satisfies the backward-stable residual bound
+    |p(root)| < 1e-8 * sum_k |c_k| max(1, |root|)^k (raises
+    :class:`RootFindingError` otherwise, as for a failed eigensolver).  Each
+    row's roots are sorted by real part, then imaginary part.  Call it under
+    ``np.errstate`` where huge coefficients may overflow the residual.
+    """
     k, n = c.shape[0], c.shape[1] - 1
     if n == 0:
         return np.zeros((k, 0), dtype=complex)
@@ -180,38 +135,20 @@ def companion_roots(c: np.ndarray) -> np.ndarray:
     return found[np.arange(k)[:, None], np.lexsort((found.imag, found.real))]
 
 
-def roots_rows(c: np.ndarray) -> np.ndarray:
-    """All roots of every row of ``c`` (k, n + 1), ascending coefficients of
-    one degree n: companion-matrix eigenvalues, shape (k, n).
-
-    Each row goes through the companion matrix that ``numpy.roots`` builds
-    for it, with one ``eigvals`` call for the rows with real coefficients
-    (every imaginary part exactly zero) and one for the others; the real
-    eigensolver returns exact conjugate pairs, whose tied real parts leave
-    their order to the imaginary part.  Exactly-zero low-order coefficients
-    are roots at zero, as ``numpy.roots`` returns them.
-    Postcondition: every root satisfies the backward-stable residual bound
-    |p(root)| < 1e-8 * sum_k |c_k| max(1, |root|)^k (raises
-    :class:`RootFindingError` otherwise, as for a failed eigensolver, a zero
-    row or a non-finite coefficient).  Each row's roots are sorted by real
-    part, then imaginary part.  Call it under ``np.errstate`` where huge
-    coefficients may overflow the residual.
-    """
-    c = np.asarray(c, dtype=complex)
-    if not np.isfinite(c).all():
-        raise RootFindingError("polynomial has non-finite coefficients")
-    if c.shape[1] < 1 or not c[:, -1].all():
-        raise RootFindingError("zero polynomial has no well-defined root set")
-    return companion_roots(c)
-
-
 def roots(p: CPoly) -> list[complex]:
     """All roots of ``p`` with multiplicity, sorted by real part, then
-    imaginary part: the one-row call of :func:`roots_rows`."""
+    imaginary part: the one-row call of :func:`companion_roots`.
+
+    Raises :class:`RootFindingError` for the zero polynomial, then for a
+    non-finite coefficient, as well as where :func:`companion_roots` does.
+    """
     if p.is_zero:
         raise RootFindingError("zero polynomial has no well-defined root set")
+    c = np.array([p.coeffs], dtype=complex)
+    if not np.isfinite(c).all():
+        raise RootFindingError("polynomial has non-finite coefficients")
     with np.errstate(all="ignore"):
-        return roots_rows(np.array([p.coeffs], dtype=complex))[0].tolist()
+        return companion_roots(c)[0].tolist()
 
 
 def cluster_roots(values: list[complex], rel_tol: float = CLUSTER_TOL) -> list[tuple[complex, int]]:
@@ -246,19 +183,3 @@ class CRational:
     @classmethod
     def from_coeffs(cls, num: list[complex] | tuple[complex, ...], den: list[complex] | tuple[complex, ...]) -> CRational:
         return cls(CPoly(tuple(num)), CPoly(tuple(den)))
-
-    @property
-    def is_proper(self) -> bool:
-        return self.num.degree <= self.den.degree
-
-    @property
-    def is_strictly_proper(self) -> bool:
-        return self.num.degree < self.den.degree
-
-    def __call__(self, z: complex) -> complex:
-        d = self.den(z)
-        scale = self.den.norm_inf * max(1.0, abs(z)) ** self.den.degree
-        if abs(d) < 1e-12 * scale:
-            raise PoleEvaluationError(f"evaluation at z = {z} is within tolerance of a pole")
-        return self.num(z) / d
-

@@ -13,10 +13,6 @@ class InvalidRegionError(DstabError, ValueError):
     """Region parameters outside the admissible ranges."""
 
 
-class PoleEvaluationError(DstabError, ArithmeticError):
-    """Rational function evaluated at (or too close to) a pole."""
-
-
 class RootFindingError(DstabError, ArithmeticError):
     """Polynomial root finder failed to reach its residual contract."""
 

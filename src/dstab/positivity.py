@@ -93,19 +93,14 @@ def _j_powers(width: int) -> np.ndarray:
     return _J_POWERS[np.arange(width) % 4]
 
 
-def real_part_numerator_rows(
-    num: np.ndarray, den: np.ndarray, num_inf: np.ndarray | None = None, den_inf: np.ndarray | None = None,
-) -> np.ndarray:
+def real_part_numerator_rows(num: np.ndarray, den: np.ndarray, num_inf: np.ndarray, den_inf: np.ndarray) -> np.ndarray:
     """The real coefficients of N(w) = Re{num(jw) * conj(den(jw))} for every
-    row, ascending (``num_inf`` and ``den_inf`` are the rows' max-norms, if
-    known).
+    row, ascending (``num_inf`` and ``den_inf`` are the rows' max-norms).
 
     Coefficients below 1e-12 of the construction scale |num|*|den| are
     cancellation noise (e.g. the cubic term of a real-coefficient product)
     and are zeroed so they cannot masquerade as genuine high-degree terms.
     """
-    if num_inf is None or den_inf is None:
-        num_inf, den_inf = np.abs(num).max(axis=1), np.abs(den).max(axis=1)
     a = num * _j_powers(num.shape[1])
     b = den.conj() * _j_powers(den.shape[1]).conj()
     prod = np.zeros((num.shape[0], num.shape[1] + den.shape[1] - 1))

@@ -9,8 +9,8 @@ with its mirror image, parameterized by a rotation angle ``theta0`` in
 * ``sector(beta)``         -- minimum damping ratio cos(beta),
 * ``horizontal_strip(gamma)`` -- maximum natural frequency gamma.
 
-Regions are closed sets; strictness of a pole placement is conveyed through
-the signed ``margin`` (>= 0 inside, 0 on the boundary), never the boolean.
+Regions are closed sets.  Membership, and how strictly a pole meets it, is
+read from the signed ``margin`` alone (>= 0 inside, 0 on the boundary).
 """
 
 from __future__ import annotations
@@ -21,22 +21,11 @@ from dataclasses import dataclass
 
 from .errors import InvalidRegionError
 
-# |margin| below this is reported as "boundary"; the membership boolean uses
-# margin >= -BOUNDARY_TOL because eigenvalue oracles carry O(1e-10) noise.
-BOUNDARY_TOL = 1e-9
-
 _HALF_PI = math.pi / 2
 
 
-class _Membership:
-    """Closed-set membership from ``margin``."""
-
-    def contains(self, s: complex) -> bool:
-        return self.margin(s) >= -BOUNDARY_TOL
-
-
 @dataclass(frozen=True)
-class HalfPlaneRegion(_Membership):
+class HalfPlaneRegion:
     """Symmetric pole-placement region with parameters (theta0, omega0, sigma0).
 
     Membership requires both Re{e^{-j*theta0} (s - j*omega0)} <= sigma0 and
@@ -69,7 +58,7 @@ class HalfPlaneRegion(_Membership):
 
 
 @dataclass(frozen=True)
-class CompositeRegion(_Membership):
+class CompositeRegion:
     """Intersection of several half-plane regions, kept in user order.
 
     Margin ties between parts are broken by the first part so that reports

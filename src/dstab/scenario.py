@@ -93,7 +93,7 @@ def parse_device(block: dict, n_nodes: int) -> tuple[int, dev.DeviceParams]:
     where = f"device block {block!r}"
     node = _node_index(_need(block, "node", where), n_nodes, where)
     kind = _need(block, "type", where)
-    if kind not in _DEVICE_FIELDS:
+    if not isinstance(kind, str) or kind not in _DEVICE_FIELDS:
         raise ScenarioError(f"unknown device type {kind!r} (node {node + 1})")
     where = f"device at node {node + 1} ({kind})"
     vals = {name: _num(block, name, where) for name in _DEVICE_FIELDS[kind]}
@@ -372,11 +372,10 @@ def indexed_model(
     the pinned y_s table, else each source's synthesized index against the
     grid codes ``codes`` (built here when not given).  Returns the
     :func:`compliance` reports that chose the indices, or None when pinned."""
-    model = build_model(sc, eq)
-    if model.y_s is not None:
-        return model, None
+    if sc.y_s is not None:
+        return build_model(sc, eq), None
     reports = compliance(sc, eq, codes if codes is not None else grid_codes(sc, eq))
-    return replace(model, y_s=chosen_indices(reports)), reports
+    return build_model(replace(sc, y_s=chosen_indices(reports)), eq), reports
 
 
 def synthesize(sc: Scenario) -> dict:

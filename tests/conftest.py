@@ -3,8 +3,10 @@
 Oracles here are deliberately independent of the library code paths they
 check: polynomial roots come from companion-matrix eigenvalues through the
 real 2n x 2n embedding, characteristic polynomials from a Leibniz
-determinant over polynomial arithmetic, and set comparisons from optimal
-assignment.
+determinant over ``numpy.polynomial`` arithmetic, and set comparisons from
+optimal assignment.  ``numpy.polynomial.polynomial`` takes ascending
+coefficients, as ``CPoly.coeffs`` stores them; a result goes back through
+``CPoly`` where the trim rule matters.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 from scipy.optimize import linear_sum_assignment
 
@@ -60,10 +63,36 @@ def match_distance(a, b) -> float:
     return float(cost[rows, cols].max()) if a.size else 0.0
 
 
+def from_roots(roots) -> CPoly:
+    """The monic polynomial with the given roots, one linear factor at a time."""
+    c = np.array([1 + 0j])
+    for r in roots:
+        c = np.convolve(c, np.array([-complex(r), 1.0]))
+    return CPoly(tuple(c))
+
+
+def degree(p: CPoly) -> int:
+    """Degree under the trim rule; -1 for the zero polynomial."""
+    return -1 if p.is_zero else len(p.coeffs) - 1
+
+
+def norm_inf(p: CPoly) -> float:
+    return max(abs(c) for c in p.coeffs)
+
+
+def value(r: CRational, z: complex) -> complex | None:
+    """r(z), or None where |den(z)| is below 1e-12 of the denominator's scale
+    at z, that is at or next to a pole."""
+    d = P.polyval(z, r.den.coeffs)
+    if abs(d) < 1e-12 * norm_inf(r.den) * max(1.0, abs(z)) ** degree(r.den):
+        return None
+    return complex(P.polyval(z, r.num.coeffs) / d)
+
+
 def poly_determinant(matrix: list[list[CPoly]]) -> CPoly:
     """Leibniz determinant of a small matrix of polynomials."""
     n = len(matrix)
-    total = CPoly.zero()
+    total = CPoly((0j,))
     for perm in itertools.permutations(range(n)):
         sign = 1.0
         seen = list(perm)
@@ -73,8 +102,8 @@ def poly_determinant(matrix: list[list[CPoly]]) -> CPoly:
                     sign = -sign
         term = CPoly((complex(sign),))
         for i in range(n):
-            term = term * matrix[i][perm[i]]
-        total = total + term
+            term = CPoly(P.polymul(term.coeffs, matrix[i][perm[i]].coeffs))
+        total = CPoly(P.polyadd(total.coeffs, term.coeffs))
     return total
 
 
@@ -88,14 +117,14 @@ def characteristic_poly(subsystems, Y: np.ndarray) -> CPoly:
         for j in range(n):
             term = subsystems[i].num.scale(complex(Y[i, j]))
             if i == j:
-                term = term + subsystems[i].den
+                term = CPoly(P.polyadd(term.coeffs, subsystems[i].den.coeffs))
             row.append(term)
         entries.append(row)
     return poly_determinant(entries)
 
 
 def assert_rational_close(r1: CRational, r2: CRational, tol: float = 1e-10) -> None:
-    scale = max(r1.num.norm_inf, r2.num.norm_inf, r1.den.norm_inf, r2.den.norm_inf, 1e-300)
+    scale = max(norm_inf(r1.num), norm_inf(r2.num), norm_inf(r1.den), norm_inf(r2.den), 1e-300)
     for p, q in ((r1.num, r2.num), (r1.den, r2.den)):
         n = max(len(p.coeffs), len(q.coeffs))
         a = list(p.coeffs) + [0j] * (n - len(p.coeffs))
@@ -125,8 +154,8 @@ def random_positive_rational(rng: np.random.Generator) -> CRational:
     """Random positive function: sum of k_i/(nu + p_i) terms with Re p_i >= 0
     and k_i > 0, plus an optional nonnegative constant."""
     n_terms = int(rng.integers(1, 4))
-    total_num = CPoly.zero()
-    total_den = CPoly.one()
+    total_num = CPoly((0j,))
+    total_den = CPoly((1 + 0j,))
     for _ in range(n_terms):
         if rng.random() < 0.25:
             p = -1j * rng.uniform(-3.0, 3.0)  # imaginary-axis pole
@@ -134,11 +163,11 @@ def random_positive_rational(rng: np.random.Generator) -> CRational:
             p = complex(rng.uniform(0.05, 3.0), rng.uniform(-3.0, 3.0))
         k = rng.uniform(0.1, 2.0)
         term_den = CPoly((p, 1.0 + 0j))
-        total_num = total_num * term_den + total_den.scale(k)
-        total_den = total_den * term_den
+        total_num = CPoly(P.polyadd(P.polymul(total_num.coeffs, term_den.coeffs), total_den.scale(k).coeffs))
+        total_den = CPoly(P.polymul(total_den.coeffs, term_den.coeffs))
     if rng.random() < 0.3:
         d = rng.uniform(0.0, 1.0)
-        total_num = total_num + total_den.scale(d)
+        total_num = CPoly(P.polyadd(total_num.coeffs, total_den.scale(d).coeffs))
     return CRational(total_num, total_den)
 
 
@@ -198,9 +227,7 @@ def random_mild_subsystem(rng: np.random.Generator) -> CRational:
     """Strictly proper real-rational second-order subsystem with O(1)
     coefficients; keeps polynomial-determinant oracles well conditioned."""
     p1 = complex(-rng.uniform(0.2, 4.0), rng.uniform(0.0, 3.0))
-    den = CPoly.from_roots([p1, p1.conjugate()]) if rng.random() < 0.6 else CPoly.from_roots(
-        [p1.real, -rng.uniform(0.2, 4.0)]
-    )
+    den = from_roots([p1, p1.conjugate()]) if rng.random() < 0.6 else from_roots([p1.real, -rng.uniform(0.2, 4.0)])
     den = CPoly(tuple(complex(c.real) for c in den.coeffs))
     num = CPoly((rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0)))
     return CRational(num, den)

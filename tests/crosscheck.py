@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 
+from conftest import degree, from_roots, norm_inf
 from dstab.cpoly import CLUSTER_TOL, CPoly, CRational, cluster_roots, roots
 from dstab.devices import CplParams, cpl_conductance
 from dstab.dstability import SystemModel
@@ -56,12 +58,22 @@ def map_to_s(region: HalfPlaneRegion, nu: complex) -> complex:
 # ---------------------------------------------------------------------------
 # s-domain algebra and the 2x2 real embedding
 
+def real_coeffs(p: CPoly, tol: float) -> CPoly:
+    """Drop imaginary parts, checking they are rounding noise."""
+    scale = max(norm_inf(p), 1e-300)
+    worst = max(abs(c.imag) for c in p.coeffs)
+    if worst > tol * scale:
+        raise ValueError(f"coefficients are not real: worst Im = {worst:.3e} (scale {scale:.3e})")
+    return CPoly(tuple(complex(c.real) for c in p.coeffs))
+
+
 def compose_linear(p: CPoly, a: complex, b: complex) -> CPoly:
     """Return p(a*x + b) via Horner on polynomial coefficients."""
-    acc = CPoly.zero()
-    lin = CPoly((complex(b), complex(a)))
+    acc = CPoly((0j,))
+    lin = CPoly((complex(b), complex(a))).coeffs
     for c in reversed(p.coeffs):
-        acc = acc * lin + CPoly((complex(c),))
+        prod = CPoly(P.polymul(acc.coeffs, lin))
+        acc = CPoly(P.polyadd(prod.coeffs, (c,)))
     return acc
 
 
@@ -79,7 +91,7 @@ def rotate(r: CRational, phi: float) -> CRational:
 
 def feedback(r: CRational, rho: complex) -> CRational:
     """Close the loop [1 + rho*r]^{-1} r without pole-zero cancellation."""
-    den = r.den + r.num.scale(complex(rho))
+    den = CPoly(P.polyadd(r.den.coeffs, r.num.scale(complex(rho)).coeffs))
     if den.is_zero:
         raise DegenerateLoopError("closed loop denominator is identically zero")
     return CRational(r.num, den)
@@ -87,15 +99,16 @@ def feedback(r: CRational, rho: complex) -> CRational:
 
 def residue_at(r: CRational, p: complex) -> complex:
     """Residue of ``r`` at a simple pole ``p`` (num(p) / den'(p))."""
-    scale = r.den.norm_inf * max(1.0, abs(p)) ** r.den.degree
-    if abs(r.den(p)) > 1e-8 * scale:
-        raise NotAPoleError(f"{p} is not a pole (|den| = {abs(r.den(p)):.3e})")
-    dden = r.den.derivative()
-    dscale = max(dden.norm_inf, 1e-300) * max(1.0, abs(p)) ** max(dden.degree, 0)
-    dval = dden(p)
+    scale = norm_inf(r.den) * max(1.0, abs(p)) ** degree(r.den)
+    den_p = complex(P.polyval(p, r.den.coeffs))
+    if abs(den_p) > 1e-8 * scale:
+        raise NotAPoleError(f"{p} is not a pole (|den| = {abs(den_p):.3e})")
+    dden = CPoly(P.polyder(r.den.coeffs))
+    dscale = max(norm_inf(dden), 1e-300) * max(1.0, abs(p)) ** max(degree(dden), 0)
+    dval = complex(P.polyval(p, dden.coeffs))
     if abs(dval) <= 1e-8 * dscale:
         raise NotSimplePoleError(f"pole at {p} is not simple (|den'| = {abs(dval):.3e})")
-    return r.num(p) / dval
+    return complex(P.polyval(p, r.num.coeffs)) / dval
 
 
 @dataclass(frozen=True)
@@ -122,7 +135,7 @@ def real_equiv(r: CRational) -> RealRationalMatrix2x2:
     Self-conjugate denominator factors are detected by root clustering
     (relative tolerance ``CLUSTER_TOL``) and are **not** doubled.
     """
-    den_roots = roots(r.den) if r.den.degree >= 1 else []
+    den_roots = roots(r.den) if degree(r.den) >= 1 else []
     clusters = cluster_roots(den_roots)
 
     # Extra factors complete the conjugate pairs: each cluster center p of
@@ -138,9 +151,9 @@ def real_equiv(r: CRational) -> RealRationalMatrix2x2:
                 break
         extra.extend([center.conjugate()] * max(0, mult - conj_mult))
 
-    ext = CPoly.from_roots(extra)
-    den_real = (r.den * ext).real_coeffs(tol=1e-6)
-    num_ext = r.num * ext
+    ext = from_roots(extra).coeffs
+    den_real = real_coeffs(CPoly(P.polymul(r.den.coeffs, ext)), tol=1e-6)
+    num_ext = CPoly(P.polymul(r.num.coeffs, ext))
     num_re = CPoly(tuple(complex(c.real) for c in num_ext.coeffs))
     num_im = CPoly(tuple(complex(c.imag) for c in num_ext.coeffs))
     return RealRationalMatrix2x2(CRational(num_re, den_real), CRational(num_im, den_real))
@@ -210,12 +223,12 @@ def check_positive_second_order(a1: complex, a0: complex, b1: complex, b0: compl
         witnesses = tuple((r, complex(r.real)) for r in bad) or ((complex(delta2), complex(delta2)),)
         return PositivityReport(False, FailedCondition.POLE_LOCATION, witnesses, min(margins))
 
-    den = CPoly((b0, b1, 1.0 + 0j))
+    den = CPoly((b0, b1, 1.0 + 0j)).coeffs
     coeff_scale = max(abs(a1), abs(a0), 1.0)
 
     def _re_h(w: float) -> complex:
         num_v = a1 * 1j * w + a0
-        den_v = den(1j * w)
+        den_v = complex(P.polyval(1j * w, den))
         return complex((num_v / den_v).real)
 
     # vanishing cubic coefficient of N(w)
@@ -313,13 +326,13 @@ def check_pr_real_matrix(M: RealRationalMatrix2x2) -> PositivityReport:
     conjugate-symmetric); residue matrices at imaginary-axis poles must be
     Hermitian PSD.
     """
-    if not (M.re.is_proper and M.im.is_proper):
+    if max(degree(M.re.num), degree(M.im.num)) > degree(M.den):
         raise NonProperError("real-equivalent entries must be proper")
     if M.re.num.is_zero and M.im.num.is_zero:
         return PositivityReport(True, FailedCondition.NONE, (), 0.0)
 
-    scale = max((M.re.num.norm_inf + M.im.num.norm_inf) / M.den.norm_inf, 1e-300)
-    margin_a, pole_witnesses, multi_axis, simple_axis = _cluster_poles(roots(M.den) if M.den.degree >= 1 else [])
+    scale = max((norm_inf(M.re.num) + norm_inf(M.im.num)) / norm_inf(M.den), 1e-300)
+    margin_a, pole_witnesses, multi_axis, simple_axis = _cluster_poles(roots(M.den) if degree(M.den) >= 1 else [])
     if pole_witnesses:
         return PositivityReport(False, FailedCondition.POLE_LOCATION, tuple(pole_witnesses), min(margin_a, 0.0))
     if multi_axis:
@@ -350,10 +363,10 @@ def check_pr_real_matrix(M: RealRationalMatrix2x2) -> PositivityReport:
 
     # frequency condition over w >= 0
     def lam_min(w: np.ndarray) -> np.ndarray:
-        den_val = M.den(1j * w)
-        a = M.re.num(1j * w) / den_val
-        b = M.im.num(1j * w) / den_val
-        near_pole = np.abs(den_val) < 1e-10 * M.den.norm_inf * np.maximum(1.0, np.abs(w)) ** M.den.degree
+        den_val = P.polyval(1j * w, M.den.coeffs)
+        a = P.polyval(1j * w, M.re.num.coeffs) / den_val
+        b = P.polyval(1j * w, M.im.num.coeffs) / den_val
+        near_pole = np.abs(den_val) < 1e-10 * norm_inf(M.den) * np.maximum(1.0, np.abs(w)) ** degree(M.den)
         return np.where(near_pole, math.inf, 2.0 * (a.real - np.abs(b.imag)))
 
     with np.errstate(all="ignore"):
@@ -361,7 +374,7 @@ def check_pr_real_matrix(M: RealRationalMatrix2x2) -> PositivityReport:
 
     # High-frequency limit matters only for biproper entries (strictly proper
     # responses roll off to zero, which never violates the closed condition).
-    if M.re.num.degree == M.den.degree:
+    if degree(M.re.num) == degree(M.den):
         v_inf = 2.0 * M.re.num.coeffs[-1].real
         if v_inf < v_min:
             w_min, v_min = math.inf, v_inf
@@ -383,11 +396,11 @@ def check_pr_real_matrix(M: RealRationalMatrix2x2) -> PositivityReport:
 
 def _realization(g: CRational) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Controllable canonical form of a strictly proper real-rational function."""
-    if not g.is_strictly_proper:
+    if degree(g.num) >= degree(g.den):
         raise NonProperError("closed-loop assembly requires strictly proper subsystems")
-    den = g.den.real_coeffs(tol=1e-9)
-    num = g.num.real_coeffs(tol=1e-9)
-    m = den.degree
+    den = real_coeffs(g.den, tol=1e-9)
+    num = real_coeffs(g.num, tol=1e-9)
+    m = degree(den)
     a = np.zeros((m, m))
     for i in range(m - 1):
         a[i, i + 1] = 1.0

@@ -505,6 +505,16 @@ class TestExtremeDeviceConstants:
         if code >= 2:
             assert len(lines) == 1 and json.loads(lines[0])["error"] != "internal"
 
+    @pytest.mark.parametrize("kind", [[], {}], ids=["array", "object"])
+    @pytest.mark.parametrize("command", [*FUZZ_COMMANDS, ["simulate"]],
+                             ids=["check1", "check2", "poles", "gridcode", "synthesize", "positivity", "simulate"])
+    def test_device_type_that_is_not_a_string_exits_2(self, capsys, tmp_path, kind, command):
+        path = toy_variant(tmp_path, lambda raw: raw["devices"][0].update(type=kind))
+        extra = ["--out", str(tmp_path / "sim")] if command == ["simulate"] else []
+        code, out, err = run(capsys, *command, str(path), *extra)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "input", "message": f"unknown device type {kind!r} (node 1)"}
+
 
 class TestFuzzedInput:
     @settings(derandomize=True, max_examples=100, deadline=None)
@@ -1015,6 +1025,23 @@ class TestParser:
         assert code == 1
         code, again, _ = run(capsys, "check", TOY)
         assert code == 0 and again == plain
+
+
+class TestModelBuild:
+    @pytest.mark.parametrize("command, builds", [
+        (["poles"], 1), (["gridcode"], 0), (["check", "--theorem", "1"], 1), (["check", "--theorem", "2"], 1),
+        (["synthesize"], 0), (["positivity"], 1), (["simulate"], 1),
+    ], ids=["poles", "gridcode", "check1", "check2", "synthesize", "positivity", "simulate"])
+    def test_each_command_builds_its_model_once(self, capsys, tmp_path, monkeypatch, command, builds):
+        # toy3 pins no y_s, so check and positivity synthesize the indices before the build.
+        from dstab.dstability import SystemModel
+
+        calls = []
+        post_init = SystemModel.__post_init__
+        monkeypatch.setattr(SystemModel, "__post_init__", lambda model: calls.append(1) or post_init(model))
+        extra = ["--out", str(tmp_path / "sim")] if command == ["simulate"] else []
+        code, _, _ = run(capsys, *command, TOY, *extra)
+        assert code == 0 and len(calls) == builds
 
 
 class TestNumericalFailure:

@@ -1,4 +1,5 @@
-"""Polynomial and rational-function algebra."""
+"""The polynomial containers and their root finder, and the rational-function
+algebra of the cross-check routes."""
 
 from __future__ import annotations
 
@@ -6,14 +7,18 @@ import cmath
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 
 from conftest import (
     assert_rational_close,
     companion_spectrum,
+    degree,
+    from_roots,
     match_distance,
     random_cpoly,
     random_crational,
+    value,
 )
 from crosscheck import (NotSimplePoleError, compose_linear, feedback, real_equiv, residue_at, rotate,
                         substitute_affine)
@@ -21,7 +26,6 @@ from dstab.cpoly import CPoly, CRational, cluster_roots, roots
 from dstab.errors import (
     DegenerateLoopError,
     NotAPoleError,
-    PoleEvaluationError,
     RootFindingError,
 )
 
@@ -29,22 +33,16 @@ from dstab.errors import (
 class TestCPoly:
     def test_trailing_zeros_trimmed(self):
         p = CPoly((1.0, 2.0, 0.0, 0.0))
-        assert p.degree == 1
+        assert degree(p) == 1
 
     def test_zero_polynomial(self):
         assert CPoly((0.0,)).is_zero
-        assert CPoly((0.0,)).degree == -1
+        assert degree(CPoly((0.0,))) == -1
 
     def test_relative_trim(self):
         # trailing coefficients within 1e-14 of the largest are noise
-        assert CPoly((1e20, 1.0, 1e7)).degree == 2
-        assert CPoly((1e20, 1.0, 1e5)).degree == 0
-
-    def test_arithmetic(self):
-        p = CPoly((1.0, 1.0))
-        q = CPoly((-1.0, 1.0))
-        assert (p * q).coeffs == pytest.approx((-1.0, 0.0, 1.0))
-        assert (p + q).coeffs == pytest.approx((0.0, 2.0))
+        assert degree(CPoly((1e20, 1.0, 1e7))) == 2
+        assert degree(CPoly((1e20, 1.0, 1e5))) == 0
 
     def test_compose_linear(self):
         p = CPoly((0.0, 0.0, 1.0))  # x^2
@@ -55,16 +53,11 @@ class TestCPoly:
 class TestEval:
     def test_inverse_at_j(self):
         r = CRational.from_coeffs([1.0], [0.0, 1.0])
-        assert r(1j) == pytest.approx(-1j)
+        assert value(r, 1j) == pytest.approx(-1j)
 
     def test_second_order_at_origin(self):
         r = CRational.from_coeffs([1.0, 1.0], [1.0, 1.0, 1.0])
-        assert r(0.0) == pytest.approx(1.0)
-
-    def test_evaluation_at_pole_raises(self):
-        r = CRational.from_coeffs([1.0], [-1j, 1.0])
-        with pytest.raises(PoleEvaluationError):
-            r(1j)
+        assert value(r, 0.0) == pytest.approx(1.0)
 
 
 class TestRoots:
@@ -72,7 +65,7 @@ class TestRoots:
         assert roots(CPoly((1.0, 0.0, 1.0))) == pytest.approx([-1j, 1j])
 
     def test_constructed_factorization(self):
-        p = CPoly.from_roots([1 + 1j, -2.0])
+        p = from_roots([1 + 1j, -2.0])
         found = roots(p)
         assert match_distance(found, [1 + 1j, -2.0]) < 1e-10
 
@@ -97,11 +90,11 @@ class TestRoots:
 
     def test_wide_scale_roots(self):
         true = [1e4, -3.0, 1e-3 + 2j]
-        p = CPoly.from_roots(true)
+        p = from_roots(true)
         assert match_distance(roots(p), true) < 1e-6
 
     def test_multiple_root(self):
-        p = CPoly.from_roots([-1.0, -1.0, 2.0])
+        p = from_roots([-1.0, -1.0, 2.0])
         found = sorted(roots(p), key=lambda z: z.real)
         assert abs(found[0] + 1) < 1e-5 and abs(found[1] + 1) < 1e-5
         assert abs(found[2] - 2) < 1e-9
@@ -120,15 +113,15 @@ class TestRoots:
             while abs(free[-1]) < 0.2:
                 free[-1] = draw(1)[0]
             planted = [0.0] * zeros + [draw(1)[0]] * (2 * double)
-            p = CPoly(tuple(free)) * CPoly.from_roots(planted)
-            assert p.degree == degree
+            p = CPoly(np.convolve(free, from_roots(planted).coeffs))
+            assert len(p.coeffs) == degree + 1
             found = roots(p)
             assert len(found) == degree
             assert found == sorted(found, key=lambda z: (z.real, z.imag))
             assert sum(r == 0 for r in found) >= zeros
             for r in found:
                 scale = sum(abs(c) * max(1.0, abs(r)) ** k for k, c in enumerate(p.coeffs))
-                assert abs(p(r)) <= 1e-8 * scale
+                assert abs(P.polyval(r, p.coeffs)) <= 1e-8 * scale
                 if real and r.imag != 0:
                     assert r.conjugate() in found
 
@@ -153,10 +146,9 @@ class TestSubstituteAffine:
                 a += 0.5
             b = complex(*rng.standard_normal(2))
             z = complex(*rng.standard_normal(2))
-            try:
-                expected = r(a * z + b)
-                got = substitute_affine(r, a, b)(z)
-            except PoleEvaluationError:
+            expected = value(r, a * z + b)
+            got = value(substitute_affine(r, a, b), z)
+            if expected is None or got is None:
                 continue
             assert abs(got - expected) < 1e-10 * max(1.0, abs(expected))
 
@@ -202,11 +194,10 @@ class TestFeedback:
             r = random_crational(rng, 4)
             rho = complex(*rng.standard_normal(2))
             z = complex(*rng.standard_normal(2))
-            try:
-                direct = r(z) / (1.0 + rho * r(z))
-                closed = feedback(r, rho)(z)
-            except PoleEvaluationError:
+            open_loop, closed = value(r, z), value(feedback(r, rho), z)
+            if open_loop is None or closed is None:
                 continue
+            direct = open_loop / (1.0 + rho * open_loop)
             assert abs(closed - direct) < 1e-9 * max(1.0, abs(direct))
 
     def test_degenerate_loop(self):
@@ -225,7 +216,7 @@ class TestResidue:
         assert residue_at(r, 1j * b) == pytest.approx(1.0 / c)
 
     def test_hand_partial_fraction(self):
-        r = CRational(CPoly((2.0, 1.0)), CPoly.from_roots([1j, -1.0]))
+        r = CRational(CPoly((2.0, 1.0)), from_roots([1j, -1.0]))
         assert residue_at(r, 1j) == pytest.approx((1j + 2) / (1j + 1))
 
     def test_not_a_pole(self):
@@ -233,7 +224,7 @@ class TestResidue:
             residue_at(CRational.from_coeffs([1.0], [0.0, 1.0]), 1.0)
 
     def test_non_simple_pole(self):
-        r = CRational(CPoly((1.0,)), CPoly.from_roots([1j, 1j]))
+        r = CRational(CPoly((1.0,)), from_roots([1j, 1j]))
         with pytest.raises(NotSimplePoleError):
             residue_at(r, 1j)
 
@@ -251,20 +242,17 @@ class TestRealEquiv:
         assert_rational_close(m.im, CRational.from_coeffs([-1.0], [1.0, 0.0, 1.0]))
 
     def test_self_conjugate_pair_not_doubled(self):
-        r = CRational(CPoly((1.0,)), CPoly.from_roots([1j, -1j]))
+        r = CRational(CPoly((1.0,)), from_roots([1j, -1j]))
         m = real_equiv(r)
-        assert m.den.degree == 2  # lcm, not product
+        assert degree(m.den) == 2  # lcm, not product
 
     def test_evaluation_matches_split(self, rng):
         for _ in range(20):
             r = random_crational(rng, 3)
             m = real_equiv(r)
             z = complex(*rng.standard_normal(2))
-            try:
-                val = r(z)
-                re_val = m.re(z)
-                im_val = m.im(z)
-            except PoleEvaluationError:
+            val, re_val, im_val = value(r, z), value(m.re, z), value(m.im, z)
+            if None in (val, re_val, im_val):
                 continue
             assert abs((re_val + 1j * im_val) - val) < 1e-8 * max(1.0, abs(val))
 
@@ -299,7 +287,7 @@ class TestReduce:
     """Pole-zero cancellation is never performed implicitly."""
 
     def test_never_implicit(self):
-        num = CPoly.from_roots([-1.0])
-        den = CPoly.from_roots([-1.0, -3.0])
+        num = from_roots([-1.0])
+        den = from_roots([-1.0, -3.0])
         r = CRational(num, den)
-        assert r.den.degree == 2  # construction keeps the common factor
+        assert degree(r.den) == 2  # construction keeps the common factor

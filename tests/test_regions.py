@@ -47,8 +47,8 @@ class TestConstructors:
 
     def test_shifted_lhp_membership(self):
         r = shifted_lhp(-1.0)
-        assert r.contains(-2.0)
-        assert not r.contains(-0.5)
+        assert r.margin(-2.0) >= -1e-9
+        assert r.margin(-0.5) < -1e-9
 
     def test_shifted_lhp_rejects_positive_alpha(self):
         with pytest.raises(InvalidRegionError):
@@ -61,11 +61,11 @@ class TestConstructors:
 
     def test_sector_contains_negative_real_axis(self):
         for beta in (0.1, 0.7, 1.3):
-            assert sector(beta).contains(-1.0)
+            assert sector(beta).margin(-1.0) >= -1e-9
 
     def test_sector_excludes_imaginary_point(self):
         # Re{e^{-j(pi/2-beta)} * j} = cos(beta) > 0
-        assert not sector(FIVE_PI_12).contains(1j)
+        assert sector(FIVE_PI_12).margin(1j) < -1e-9
 
     def test_sector_range_errors(self):
         for beta in (0.0, math.pi / 2, -0.3, 2.0):
@@ -80,8 +80,8 @@ class TestConstructors:
     def test_horizontal_strip_membership(self):
         gamma = 3.0
         r = horizontal_strip(gamma)
-        assert not r.contains(complex(-1.0, gamma + 1.0))
-        assert r.contains(complex(-1.0, gamma))  # closed boundary
+        assert r.margin(complex(-1.0, gamma + 1.0)) < -1e-9
+        assert r.margin(complex(-1.0, gamma)) >= -1e-9  # closed boundary
 
     def test_horizontal_strip_rejects_nonpositive_gamma(self):
         with pytest.raises(InvalidRegionError):
@@ -91,24 +91,24 @@ class TestConstructors:
 class TestContains:
     def test_lhp_margin(self):
         region = shifted_lhp(-8.0)
-        assert region.contains(-10.0)
+        assert region.margin(-10.0) >= -1e-9
         assert region.margin(-10.0) == pytest.approx(2.0)
 
     def test_sector_margin_hand_value(self):
         region = sector(FIVE_PI_12)
-        assert region.contains(-1.0)
+        assert region.margin(-1.0) >= -1e-9
         assert region.margin(-1.0) == pytest.approx(math.cos(math.pi / 12))
 
     def test_strip_excludes_high_frequency(self):
         region = horizontal_strip(24 * math.pi)
-        assert not region.contains(complex(-1.0, 80.0))
+        assert region.margin(complex(-1.0, 80.0)) < -1e-9
         assert region.margin(complex(-1.0, 80.0)) == pytest.approx(24 * math.pi - 80.0)
 
     def test_composite_is_conjunction(self):
         comp = CompositeRegion((shifted_lhp(-8.0), sector(FIVE_PI_12), horizontal_strip(24 * math.pi)))
-        assert comp.contains(-20.0)
-        assert not comp.contains(-4.0)          # violates the shift
-        assert not comp.contains(complex(-9, 80.0))  # violates the strip
+        assert comp.margin(-20.0) >= -1e-9
+        assert comp.margin(-4.0) < -1e-9          # violates the shift
+        assert comp.margin(complex(-9, 80.0)) < -1e-9  # violates the strip
         assert comp.margin(-20.0) == min(p.margin(-20.0) for p in comp.parts)
 
 

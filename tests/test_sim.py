@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from conftest import degree
 from crosscheck import rk4_step_warning
 from dstab import devices as dev
 from dstab import sim
@@ -54,12 +55,12 @@ def quiet_simulate(*args, **kwargs) -> Trajectory:
 def output_rows(m: SystemModel) -> np.ndarray:
     """Dense output matrix: node k reads its own states through the
     numerator coefficients of its canonical realization."""
-    c_rows = np.zeros((len(m.subsystems), sum(g.den.degree for g in m.subsystems)))
+    c_rows = np.zeros((len(m.subsystems), sum(degree(g.den) for g in m.subsystems)))
     pos = 0
     for k, g in enumerate(m.subsystems):
         for i, coeff in enumerate(g.num.coeffs):
             c_rows[k, pos + i] = coeff.real
-        pos += g.den.degree
+        pos += degree(g.den)
     return c_rows
 
 
@@ -69,7 +70,7 @@ def rk4_reference(m: SystemModel, d: DisturbanceSpec, t_end: float, dt: float) -
     a_cl = assemble_closed_loop(m)
     c_l, y_l = m.load_cy[m.network.partition.load_ids.index(d.node)]
     amps = d.magnitude * y_l * m.equilibrium_u[d.node]
-    dims = [g.den.degree for g in m.subsystems]
+    dims = [degree(g.den) for g in m.subsystems]
     b_d = np.zeros(a_cl.shape[0])
     b_d[sum(dims[: d.node + 1]) - 1] = -amps
     c_rows = output_rows(m)

@@ -2,8 +2,9 @@
 other difference between two ``tools/cli_reports.py`` directories,
 ``tools/cli_reports.py`` records a child's warnings without their location
 and writes ``simulate`` reports over longer files,
-the functions the benchmark traces exist, and no module imports a name it
-never reads."""
+the functions the benchmark traces exist, no module imports a name it
+never reads, and every public name in ``src/dstab`` has a caller outside the
+tests."""
 
 from __future__ import annotations
 
@@ -134,3 +135,58 @@ def test_unused_import_scan_sees_every_import_form(tmp_path):
     module.write_text("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
                       "from math import pi, tau as t\n\ndef f():\n    import sys\n    return np.pi + pi\n")
     assert unused_imports(module) == ["os", "sys", "t"]
+
+
+def public_definitions(path: Path) -> set[str]:
+    """The module-level functions and classes of a module, and the methods of
+    its classes, whose names start with no underscore."""
+    names = set()
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names.update(item.name for item in node.body if isinstance(item, ast.FunctionDef))
+    return {name for name in names if not name.startswith("_")}
+
+
+def named(path: Path) -> set[str]:
+    """Every name a module loads, stores or imports, every attribute it reads
+    or writes, and every string constant it holds."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_public_name_in_src_has_a_caller_outside_the_tests():
+    # A function the tests alone call is test code; the pole oracle and the
+    # locator of the shipped scenarios are the library's own entry points.
+    package = [p for p in sorted((ROOT / "src" / "dstab").glob("*.py")) if p.name != "__init__.py"]
+    callers = package + [p for d in ("bench", "tools") for p in sorted((ROOT / d).glob("*.py"))
+                         if not p.name.startswith("test_")]
+    seen = set().union(*map(named, callers)) | {"verify_region", "data_path"}
+    assert {str(p.relative_to(ROOT)): names for p in package if (names := sorted(public_definitions(p) - seen))} == {}
+
+
+def test_polynomial_containers_define_no_arithmetic():
+    from dstab.cpoly import CPoly, CRational
+
+    for cls in (CPoly, CRational):
+        assert not {"__add__", "__sub__", "__mul__", "__call__"} & set(vars(cls)), cls.__name__
+
+
+def test_public_name_scan_sees_strings_attributes_and_imports(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import a.b\nfrom c import d as e\nTRACED = {'k': ('m', 'f')}\n\n"
+                      "class K:\n    def g(self):\n        return self.h\n\n    def _p(self):\n        pass\n"
+                      "\n\ndef _q():\n    pass\n")
+    assert public_definitions(module) == {"K", "g"}
+    assert {"a", "b", "d", "TRACED", "k", "m", "f", "self", "h"} <= named(module)
+    assert not {"K", "g", "_p", "_q"} & named(module)
