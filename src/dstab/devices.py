@@ -9,6 +9,9 @@ This module maps physical parameters onto those coefficient forms, builds
 the region-rotated and loop-transformed devices, computes the closed-form
 synthesis bounds for the three region families, solves the DC power flow for
 the operating point, and checks per-device compliance against a grid code.
+It is the one place that tells device classes apart: ``check_roles`` matches
+devices to node roles, the power flow reads each node's law once per solve
+as per-node arrays, and ``source_coeffs`` picks a source's coefficient map.
 Loop transforms and compliance work on whole fleets: coefficient rows go
 through one batched numpy pass (``loop_transform_rows``,
 ``loop_positivity``), and a row's result depends on that row alone.
@@ -377,34 +380,40 @@ def index_cap(g: GenericSecondOrder, region: HalfPlaneRegion) -> float | None:
     return bound_sector(g, math.pi / 2 - region.theta0) if kind == "sector" else None
 
 
-def _classify(devices: Sequence[DeviceParams], partition: NodePartition) -> None:
+def check_roles(devices: Sequence[DeviceParams], partition: NodePartition) -> None:
+    """The one check of node roles: a source node carries a source device and
+    a load node a CPL, else :class:`NetworkError` names the node (1-based)."""
     for k in partition.source_ids:
         if isinstance(devices[k], CplParams):
-            raise NetworkError(f"node {k} is a source node but carries a load device")
+            raise NetworkError(f"source node {k + 1} carries a load device")
     for k in partition.load_ids:
         if not isinstance(devices[k], CplParams):
-            raise NetworkError(f"node {k} is a load node but carries a source device")
+            raise NetworkError(f"load node {k + 1} must carry a CPL device")
 
 
-def power_flow_residual(
-    Y: AdmittanceMatrix, devices: Sequence[DeviceParams], u: np.ndarray
-) -> np.ndarray:
-    """Residual of the DC power-flow equations at voltage vector ``u``.
+def _flow_terms(devices: Sequence[DeviceParams]) -> tuple[np.ndarray, ...]:
+    """Per-node power-flow terms: the droop mask, R_d and U_r (0 off the
+    droop rows) and the constant power p the node injects, U_r_pv i_pv_star
+    for a PV unit and -P for a load (0 on the droop rows)."""
+    rows = [(1.0, d.R_d, d.U_r, 0.0) if isinstance(d, (EssBoostParams, EssBuckParams))
+            else (0.0, 0.0, 0.0, d.U_r_pv * d.i_pv_star) if isinstance(d, PvParams)
+            else (0.0, 0.0, 0.0, -d.P) for d in devices]
+    droop, r_d, u_r, p = np.array(rows, dtype=float).reshape(-1, 4).T
+    return droop == 1.0, r_d, u_r, p
 
-    Droop sources contribute u_k + R_d i_k - U_r (volts); PV units inject
-    their panel power U_r_pv * i_pv_star and loads draw P, both contributing
-    current-balance residuals i_k -+ P/u_k (amps).
-    """
-    i = Y.Y @ u
-    r = np.empty_like(u)
-    for k, dev in enumerate(devices):
-        if isinstance(dev, (EssBoostParams, EssBuckParams)):
-            r[k] = u[k] + dev.R_d * i[k] - dev.U_r
-        elif isinstance(dev, PvParams):
-            r[k] = i[k] - dev.U_r_pv * dev.i_pv_star / u[k]
-        else:
-            r[k] = i[k] + dev.P / u[k]
-    return r
+
+def _flow_residual(Y: np.ndarray, terms: tuple[np.ndarray, ...], u: np.ndarray) -> np.ndarray:
+    """The power-flow law at ``u``: u_k + R_d i_k - U_r (volts) on a droop
+    row, the current balance i_k - p_k/u_k (amps) elsewhere, with i = Y u."""
+    droop, r_d, u_r, p = terms
+    i = Y @ u
+    return np.where(droop, u + r_d * i - u_r, i - p / u)
+
+
+def power_flow_residual(Y: AdmittanceMatrix, devices: Sequence[DeviceParams], u: np.ndarray) -> np.ndarray:
+    """Residual of the DC power-flow equations at voltage vector ``u``: the
+    law of :func:`_flow_residual` on the devices' per-node terms."""
+    return _flow_residual(Y.Y, _flow_terms(devices), u)
 
 
 def equilibrium_solve(
@@ -414,32 +423,29 @@ def equilibrium_solve(
 ) -> Equilibrium:
     """Newton iteration on the DC power-flow residual from a flat start.
 
-    Rejects low-voltage solutions (any node below half nominal) and raises
-    :class:`ConvergenceError` if the infinity norm of the residual does not
-    drop below ``NEWTON_TOL`` within ``NEWTON_MAX_ITER`` iterations.
+    The Jacobian is Y with the droop rows scaled by R_d, plus a diagonal: 1
+    on a droop row, p_k/u_k^2 elsewhere.  Rejects low-voltage solutions (any
+    node below half nominal) and raises :class:`ConvergenceError` if the
+    infinity norm of the residual does not drop below ``NEWTON_TOL`` within
+    ``NEWTON_MAX_ITER`` iterations.
     """
     n = Y.n_nodes
     if len(devices) != n:
         raise NetworkError(f"expected {n} devices, got {len(devices)}")
-    _classify(devices, Y.partition)
-    if not any(isinstance(d, (EssBoostParams, EssBuckParams)) for d in devices):
+    check_roles(devices, Y.partition)
+    droop, r_d, _, p = terms = _flow_terms(devices)
+    if not droop.any():
         raise NetworkError("power flow needs at least one droop-controlled source")
 
     u = np.full(n, float(nominal_voltage))
     with np.errstate(all="ignore"):  # a non-finite iterate raises below
+        scaled = np.where(droop, r_d, 1.0)[:, None] * Y.Y
         for _ in range(NEWTON_MAX_ITER):
-            r = power_flow_residual(Y, devices, u)
+            r = _flow_residual(Y.Y, terms, u)
             if float(np.max(np.abs(r))) < NEWTON_TOL:
                 break
-            J = np.array(Y.Y)
-            for k, dev in enumerate(devices):
-                if isinstance(dev, (EssBoostParams, EssBuckParams)):
-                    J[k, :] = dev.R_d * Y.Y[k, :]
-                    J[k, k] += 1.0
-                elif isinstance(dev, PvParams):
-                    J[k, k] += dev.U_r_pv * dev.i_pv_star / (u[k] * u[k])
-                else:
-                    J[k, k] -= dev.P / (u[k] * u[k])
+            J = scaled.copy()
+            J.flat[:: n + 1] += np.where(droop, 1.0, p / (u * u))
             try:
                 du = np.linalg.solve(J, -r)
             except np.linalg.LinAlgError as exc:

@@ -31,11 +31,12 @@ def data_path(name: str) -> Path:
     return Path(str(files("dstab") / "data" / f"{name}.json"))
 
 
-_DEVICE_FIELDS = {
-    "ess_boost": ("C_farad", "E_volt", "U_r_volt", "R_d_ohm", "kP_u", "kI_u"),
-    "ess_buck": ("C_farad", "E_volt", "U_r_volt", "R_d_ohm", "kP_u", "kI_u"),
-    "pv": ("C_farad", "kP_u", "kI_u", "U_r_pv_volt", "i_pv_star_amp"),
-    "cpl": ("C_l_farad", "P_watt"),
+# Device type -> its parameter class and the file's field names, in the class's field order.
+_DEVICE_TYPES = {
+    "ess_boost": (dev.EssBoostParams, ("C_farad", "E_volt", "U_r_volt", "R_d_ohm", "kP_u", "kI_u")),
+    "ess_buck": (dev.EssBuckParams, ("C_farad", "E_volt", "U_r_volt", "R_d_ohm", "kP_u", "kI_u")),
+    "pv": (dev.PvParams, ("C_farad", "kP_u", "kI_u", "U_r_pv_volt", "i_pv_star_amp", "g_pv_star_siemens")),
+    "cpl": (dev.CplParams, ("C_l_farad", "P_watt")),
 }
 
 
@@ -93,32 +94,16 @@ def parse_device(block: dict, n_nodes: int) -> tuple[int, dev.DeviceParams]:
     where = f"device block {block!r}"
     node = _node_index(_need(block, "node", where), n_nodes, where)
     kind = _need(block, "type", where)
-    if not isinstance(kind, str) or kind not in _DEVICE_FIELDS:
+    if not isinstance(kind, str) or kind not in _DEVICE_TYPES:
         raise ScenarioError(f"unknown device type {kind!r} (node {node + 1})")
     where = f"device at node {node + 1} ({kind})"
-    vals = {name: _num(block, name, where) for name in _DEVICE_FIELDS[kind]}
+    cls, names = _DEVICE_TYPES[kind]
+    # The one optional field, last in its row, keeps PvParams.g_pv_star when left out.
+    vals = [_num(block, name, where) for name in names if name in block or name != "g_pv_star_siemens"]
     try:
-        if kind == "ess_boost":
-            params: dev.DeviceParams = dev.EssBoostParams(
-                C=vals["C_farad"], E=vals["E_volt"], U_r=vals["U_r_volt"],
-                R_d=vals["R_d_ohm"], kP_u=vals["kP_u"], kI_u=vals["kI_u"],
-            )
-        elif kind == "ess_buck":
-            params = dev.EssBuckParams(
-                C=vals["C_farad"], E=vals["E_volt"], U_r=vals["U_r_volt"],
-                R_d=vals["R_d_ohm"], kP_u=vals["kP_u"], kI_u=vals["kI_u"],
-            )
-        elif kind == "pv":
-            params = dev.PvParams(
-                C=vals["C_farad"], kP_u=vals["kP_u"], kI_u=vals["kI_u"],
-                U_r_pv=vals["U_r_pv_volt"], i_pv_star=vals["i_pv_star_amp"],
-                g_pv_star=_num(block, "g_pv_star_siemens", where) if "g_pv_star_siemens" in block else -0.5,
-            )
-        else:
-            params = dev.CplParams(C_l=vals["C_l_farad"], P=vals["P_watt"])
+        return node, cls(*vals)
     except ValueError as exc:
         raise ScenarioError(f"invalid parameters for {where}: {exc}") from exc
-    return node, params
 
 
 def load_scenario(path: str | Path, region: Region | None = None) -> Scenario:
@@ -170,12 +155,7 @@ def load_scenario(path: str | Path, region: Region | None = None) -> Scenario:
         if device_list[node] is not None:
             raise ScenarioError(f"duplicate device for node {node + 1}")
         device_list[node] = params
-    for k in sources:
-        if isinstance(device_list[k], dev.CplParams):
-            raise ScenarioError(f"source node {k + 1} carries a load device")
-    for k in loads:
-        if not isinstance(device_list[k], dev.CplParams):
-            raise ScenarioError(f"load node {k + 1} must carry a CPL device")
+    dev.check_roles(device_list, partition)  # type: ignore[arg-type]
 
     try:
         file_region = region_from_spec(_need(raw, "region", "scenario"))
@@ -302,7 +282,6 @@ def load_pairs(sc: Scenario, eq: dev.Equilibrium) -> tuple[tuple[float, float], 
     out = []
     for k in sc.partition.load_ids:
         cpl = sc.devices[k]
-        assert isinstance(cpl, dev.CplParams)
         y_l = dev.cpl_conductance(cpl, eq.u_star[k])
         if cpl.C_l <= TRIM_TOL * y_l:  # the trim rule would drop C_l
             raise ScenarioError(f"invalid load model at node {k + 1}: C_l = {cpl.C_l} is lost next to "

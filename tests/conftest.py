@@ -197,30 +197,46 @@ def random_partition(rng: np.random.Generator, n: int, allow_empty_loads: bool =
     return NodePartition(tuple(int(i) for i in ids[n_loads:]), tuple(int(i) for i in ids[:n_loads]))
 
 
-def random_source_coeffs(rng: np.random.Generator) -> dev.GenericSecondOrder:
-    """Generic source coefficients drawn through the physical parameter maps."""
-    kind = rng.choice(["boost", "buck", "pv"])
-    u_star = rng.uniform(95.0, 108.0)
+def random_source_params(rng: np.random.Generator, kind: str) -> dev.SourceParams:
+    """A ``boost``, ``buck`` or ``pv`` unit with parameters drawn around the
+    shipped device templates."""
     if kind == "boost":
-        params = dev.EssBoostParams(
+        return dev.EssBoostParams(
             C=rng.uniform(1e-3, 4e-3), E=rng.uniform(40.0, 60.0),
             U_r=rng.uniform(100.0, 110.0), R_d=rng.uniform(0.3, 1.0),
             kP_u=rng.uniform(0.005, 0.5), kI_u=rng.uniform(5.0, 80.0),
         )
-        return dev.coeffs_ess_boost(params, u_star)
     if kind == "buck":
-        params = dev.EssBuckParams(
+        return dev.EssBuckParams(
             C=rng.uniform(1e-3, 4e-3), E=rng.uniform(150.0, 250.0),
             U_r=rng.uniform(100.0, 110.0), R_d=rng.uniform(0.3, 1.0),
             kP_u=rng.uniform(0.005, 0.5), kI_u=rng.uniform(5.0, 80.0),
         )
-        return dev.coeffs_ess_buck(params)
-    params = dev.PvParams(
+    return dev.PvParams(
         C=rng.uniform(1e-3, 4e-3), kP_u=rng.uniform(0.05, 0.3),
         kI_u=rng.uniform(0.3, 3.0), U_r_pv=36.12,
         i_pv_star=rng.uniform(10.0, 50.0), g_pv_star=rng.uniform(-2.0, -0.1),
     )
-    return dev.coeffs_pv(params, u_star)
+
+
+def random_source_coeffs(rng: np.random.Generator) -> dev.GenericSecondOrder:
+    """Generic source coefficients drawn through the physical parameter maps."""
+    kind = rng.choice(["boost", "buck", "pv"])
+    u_star = rng.uniform(95.0, 108.0)
+    return dev.source_coeffs(random_source_params(rng, kind), u_star)
+
+
+def random_device_mix(rng: np.random.Generator, n: int) -> tuple[AdmittanceMatrix, list[dev.DeviceParams]]:
+    """A connected random network of ``n`` nodes with a random partition, a
+    random boost, buck or PV unit on each source node and a random CPL on
+    each load node."""
+    partition = random_partition(rng, n)
+    devices: list = [None] * n
+    for k in partition.source_ids:
+        devices[k] = random_source_params(rng, rng.choice(["boost", "buck", "pv"]))
+    for k in partition.load_ids:
+        devices[k] = random_cpl(rng)[0]
+    return laplacian_admittance(random_laplacian(rng, n), partition), devices
 
 
 def random_mild_subsystem(rng: np.random.Generator) -> CRational:

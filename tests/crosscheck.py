@@ -3,7 +3,8 @@ compared by the tests against the production function it checks: the
 sampled 2x2 real embedding (criterion 2), the closed-form quadratic
 (criterion 3), the s-domain substitute/rotate/feedback chain and the point
 maps (criterion 4), the closed-form loop-transformed load, the dense
-closed-loop assembly and the eigenvalue-only RK4 step warning.
+closed-loop assembly, the eigenvalue-only RK4 step warning and the DC power
+flow decided device by device.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ import numpy.polynomial.polynomial as P
 
 from conftest import degree, from_roots, norm_inf
 from dstab.cpoly import CLUSTER_TOL, CPoly, CRational, cluster_roots, roots
-from dstab.devices import CplParams, cpl_conductance
+from dstab.devices import (NEWTON_MAX_ITER, NEWTON_TOL, CplParams, EssBoostParams, EssBuckParams, PvParams,
+                           cpl_conductance)
 from dstab.dstability import SystemModel
-from dstab.errors import DegenerateLoopError, DstabError, NonProperError, NotAPoleError
+from dstab.errors import ConvergenceError, DegenerateLoopError, DstabError, NonProperError, NotAPoleError
+from dstab.network import AdmittanceMatrix
 from dstab.positivity import (POLE_TOL, STRICT_TOL, FailedCondition, PositivityReport, _cluster_poles,
                               check_positive_siso)
 from dstab.regions import HalfPlaneRegion
@@ -445,3 +448,61 @@ def rk4_step_warning(a_cl: np.ndarray, dt: float) -> str | None:
         return None
     return (f"step dt = {dt:.3g} s is unstable for RK4: a decaying mode has "
             f"|R(dt*eig)| = {float(np.max(gain[amplified])):.4g} > 1")
+
+
+# ---------------------------------------------------------------------------
+# DC power flow, one device at a time
+
+def power_flow_residual_loop(Y: AdmittanceMatrix, devices, u: np.ndarray) -> np.ndarray:
+    """The power-flow residual at ``u`` by class dispatch per node: droop
+    sources u_k + R_d i_k - U_r, PV units i_k - U_r_pv i_pv_star / u_k and
+    loads i_k + P / u_k."""
+    i = Y.Y @ u
+    r = np.empty_like(u)
+    for k, dev in enumerate(devices):
+        if isinstance(dev, (EssBoostParams, EssBuckParams)):
+            r[k] = u[k] + dev.R_d * i[k] - dev.U_r
+        elif isinstance(dev, PvParams):
+            r[k] = i[k] - dev.U_r_pv * dev.i_pv_star / u[k]
+        else:
+            r[k] = i[k] + dev.P / u[k]
+    return r
+
+
+def power_flow_jacobian_loop(Y: AdmittanceMatrix, devices, u: np.ndarray) -> np.ndarray:
+    """The residual's Jacobian at ``u``, row by row: a droop row is R_d Y_k
+    plus e_k, any other row Y_k plus its constant power's derivative."""
+    J = np.array(Y.Y)
+    for k, dev in enumerate(devices):
+        if isinstance(dev, (EssBoostParams, EssBuckParams)):
+            J[k, :] = dev.R_d * Y.Y[k, :]
+            J[k, k] += 1.0
+        elif isinstance(dev, PvParams):
+            J[k, k] += dev.U_r_pv * dev.i_pv_star / (u[k] * u[k])
+        else:
+            J[k, k] -= dev.P / (u[k] * u[k])
+    return J
+
+
+def equilibrium_newton_loop(Y: AdmittanceMatrix, devices, nominal_voltage: float) -> np.ndarray:
+    """The flat-start Newton power flow on the two loops above, with the
+    stopping rule, the failures and the low-voltage rejection of
+    ``devices.equilibrium_solve``."""
+    u = np.full(len(devices), float(nominal_voltage))
+    with np.errstate(all="ignore"):
+        for _ in range(NEWTON_MAX_ITER):
+            r = power_flow_residual_loop(Y, devices, u)
+            if float(np.max(np.abs(r))) < NEWTON_TOL:
+                break
+            try:
+                du = np.linalg.solve(power_flow_jacobian_loop(Y, devices, u), -r)
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceError(f"singular power-flow Jacobian: {exc}") from exc
+            u = u + du
+            if not np.all(np.isfinite(u)):
+                raise ConvergenceError("power-flow iteration diverged")
+        else:
+            raise ConvergenceError(f"power flow did not converge in {NEWTON_MAX_ITER} iterations")
+    if np.any(u < 0.5 * nominal_voltage):
+        raise ConvergenceError("power flow converged to a low-voltage solution; rejected")
+    return u

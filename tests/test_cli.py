@@ -358,6 +358,23 @@ class TestInputContract:
         error = json.loads(lines[0])
         assert error["error"] == "input" and "node 1" in error["message"]
 
+    @pytest.mark.parametrize("node, block, message", [
+        (1, {"type": "cpl", "C_l_farad": 2e-3, "P_watt": 500.0}, "source node 1 carries a load device"),
+        (3, {"type": "ess_boost", "C_farad": 2e-3, "E_volt": 50.0, "U_r_volt": 105.0, "R_d_ohm": 0.6,
+             "kP_u": 0.35, "kI_u": 26.5}, "load node 3 must carry a CPL device"),
+        (3, {"type": "pv", "C_farad": 2e-3, "kP_u": 0.1, "kI_u": 0.5, "U_r_pv_volt": 36.12,
+             "i_pv_star_amp": 38.76}, "load node 3 must carry a CPL device"),
+    ], ids=["cpl-on-source", "boost-on-load", "pv-on-load"])
+    @pytest.mark.parametrize("command", [["check", "--theorem", "1"], ["check", "--theorem", "2"], ["poles"],
+                                         ["gridcode"], ["synthesize"], ["positivity"], ["simulate"]],
+                             ids=["check1", "check2", "poles", "gridcode", "synthesize", "positivity", "simulate"])
+    def test_device_of_the_other_role_names_its_node(self, capsys, tmp_path, node, block, message, command):
+        path = toy_variant(tmp_path, lambda raw: raw["devices"].__setitem__(node - 1, {"node": node, **block}))
+        extra = ["--out", str(tmp_path / "sim")] if command == ["simulate"] else []
+        code, out, err = run(capsys, *command, str(path), *extra)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "input", "message": message}
+
     @pytest.mark.parametrize("nominal, code", [(-100.0, 2), (-1e6, 2), (0.0, 2), (1e-300, 3), (1e300, 3)])
     @pytest.mark.parametrize("command", ["check", "poles", "simulate"])
     def test_nominal_voltage_without_equilibrium(self, capsys, tmp_path, nominal, code, command):

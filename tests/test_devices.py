@@ -3,19 +3,28 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import assert_rational_close, degree, random_source_coeffs, value
-from crosscheck import feedback, modified_cpl, rotate, substitute_affine
+from conftest import assert_rational_close, degree, random_device_mix, random_source_coeffs, value
+from crosscheck import (equilibrium_newton_loop, feedback, modified_cpl, power_flow_residual_loop, rotate,
+                        substitute_affine)
 from dstab import devices as dev
 from dstab.cpoly import CRational, roots
-from dstab.errors import ConvergenceError, PrecisionError
+from dstab.errors import ConvergenceError, NetworkError, PrecisionError
 from dstab.network import NodePartition, build_admittance, grid_code, virtual_admittance_from_conductance
 from dstab.positivity import FailedCondition, PositivityReport, check_positive_siso
 from dstab.regions import HalfPlaneRegion, horizontal_strip, sector, shifted_lhp
+from dstab.scenario import data_path, load_scenario, parse_device
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import meshgen  # noqa: E402
 
 BOOST = dev.EssBoostParams(C=2e-3, E=50.0, U_r=105.0, R_d=0.6, kP_u=0.01, kI_u=60.0)
 BUCK = dev.EssBuckParams(C=3e-3, E=200.0, U_r=105.0, R_d=0.7, kP_u=0.01, kI_u=50.0)
@@ -378,8 +387,88 @@ class TestEquilibrium:
         part = NodePartition((0,), (1,))
         Y = build_admittance([(0, 1, 0.1)], 2, part)
         pv = dev.PvParams(C=2e-3, kP_u=0.1, kI_u=0.5, U_r_pv=36.12, i_pv_star=38.76)
-        with pytest.raises(Exception):
+        with pytest.raises(NetworkError, match="at least one droop-controlled source"):
             dev.equilibrium_solve(Y, [pv, dev.CplParams(C_l=2e-3, P=100.0)], 105.0)
+
+    @pytest.mark.parametrize("first, second, message", [
+        (dev.CplParams(C_l=2e-3, P=100.0), dev.CplParams(C_l=2e-3, P=100.0), "source node 1 carries a load device"),
+        (BOOST, BUCK, "load node 2 must carry a CPL device"),
+        (BOOST, dev.PvParams(C=2e-3, kP_u=0.1, kI_u=0.5, U_r_pv=36.12, i_pv_star=38.76),
+         "load node 2 must carry a CPL device"),
+    ], ids=["cpl-on-source", "buck-on-load", "pv-on-load"])
+    def test_device_of_the_other_role_raises(self, first, second, message):
+        Y, _ = self._two_node(100.0)
+        with pytest.raises(NetworkError) as caught:
+            dev.equilibrium_solve(Y, [first, second], 105.0)
+        assert str(caught.value) == message
+
+
+def corner_mix(seed: int) -> tuple:
+    """A random device mix (``conftest.random_device_mix``) whose first
+    source is a buck unit without droop, a Jacobian row of e_k, and whose
+    second source, when there is one, a PV unit without panel current."""
+    rng = np.random.default_rng(seed)
+    Y, devices = random_device_mix(rng, int(rng.integers(2, 13)))
+    sources = Y.partition.source_ids
+    if len(sources) > 1:
+        devices[sources[1]] = dev.PvParams(C=2e-3, kP_u=0.1, kI_u=0.5, U_r_pv=36.12, i_pv_star=0.0)
+    devices[sources[0]] = dataclasses.replace(BUCK, R_d=0.0)
+    return Y, devices, rng
+
+
+def newton_outcome(solve) -> np.ndarray | str:
+    try:
+        return np.asarray(solve())
+    except ConvergenceError as exc:
+        return str(exc)
+
+
+class TestPowerFlowReference:
+    """The per-node power flow against the device-by-device loops of
+    ``crosscheck``, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["toy3", "ieee39_default", "ieee39_synthesized", 64, 200])
+    def test_newton_matches_the_device_loop(self, tmp_path, name):
+        path = (data_path(name) if isinstance(name, str)
+                else meshgen.write_scenario(meshgen.mesh_scenario(name, 1), tmp_path / "mesh.json"))
+        sc = load_scenario(path)
+        eq = dev.equilibrium_solve(sc.network, sc.devices, sc.nominal_voltage)
+        assert np.array_equal(eq.u_star, equilibrium_newton_loop(sc.network, sc.devices, sc.nominal_voltage))
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_residual_matches_the_device_loop(self, seed):
+        Y, devices, rng = corner_mix(seed)
+        u = rng.uniform(50.0, 150.0, len(devices))
+        assert np.array_equal(dev.power_flow_residual(Y, devices, u), power_flow_residual_loop(Y, devices, u))
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_newton_on_random_mixes_matches_the_device_loop(self, seed):
+        Y, devices, _ = corner_mix(seed)
+        got = newton_outcome(lambda: dev.equilibrium_solve(Y, devices, 105.0).u_star)
+        expected = newton_outcome(lambda: equilibrium_newton_loop(Y, devices, 105.0))
+        assert type(got) is type(expected)
+        assert np.array_equal(got, expected) if isinstance(got, np.ndarray) else got == expected
+
+
+class TestParseDevice:
+    @pytest.mark.parametrize("kind, cls, fields", [
+        ("ess_boost", dev.EssBoostParams, "C_farad:C E_volt:E U_r_volt:U_r R_d_ohm:R_d kP_u:kP_u kI_u:kI_u"),
+        ("ess_buck", dev.EssBuckParams, "C_farad:C E_volt:E U_r_volt:U_r R_d_ohm:R_d kP_u:kP_u kI_u:kI_u"),
+        ("pv", dev.PvParams,
+         "C_farad:C kP_u:kP_u kI_u:kI_u U_r_pv_volt:U_r_pv i_pv_star_amp:i_pv_star g_pv_star_siemens:g_pv_star"),
+        ("cpl", dev.CplParams, "C_l_farad:C_l P_watt:P"),
+    ])
+    def test_each_field_reaches_its_parameter(self, kind, cls, fields):
+        pairs = [field.split(":") for field in fields.split()]
+        values = {name: 0.5 + k for k, (name, _) in enumerate(pairs)}  # distinct, and E < U_r
+        _, params = parse_device({"node": 1, "type": kind, **values}, 1)
+        assert type(params) is cls
+        assert {attr: getattr(params, attr) for _, attr in pairs} == {attr: values[name] for name, attr in pairs}
+
+    def test_pv_without_g_pv_star_takes_the_class_default(self):
+        block = {"node": 2, "type": "pv", "C_farad": 2e-3, "kP_u": 0.1, "kI_u": 0.5,
+                 "U_r_pv_volt": 36.12, "i_pv_star_amp": 38.76}
+        assert parse_device(block, 2) == (1, dev.PvParams(2e-3, 0.1, 0.5, 36.12, 38.76, dev.PvParams.g_pv_star))
 
 
 class TestCompliance:

@@ -3,8 +3,8 @@ other difference between two ``tools/cli_reports.py`` directories,
 ``tools/cli_reports.py`` records a child's warnings without their location
 and writes ``simulate`` reports over longer files,
 the functions the benchmark traces exist, no module imports a name it
-never reads, and every public name in ``src/dstab`` has a caller outside the
-tests."""
+never reads, every public name in ``src/dstab`` has a caller outside the
+tests, and only ``dstab.devices`` tells one device class from another."""
 
 from __future__ import annotations
 
@@ -190,3 +190,34 @@ def test_public_name_scan_sees_strings_attributes_and_imports(tmp_path):
     assert public_definitions(module) == {"K", "g"}
     assert {"a", "b", "d", "TRACED", "k", "m", "f", "self", "h"} <= named(module)
     assert not {"K", "g", "_p", "_q"} & named(module)
+
+
+DEVICE_CLASSES = {"EssBoostParams", "EssBuckParams", "PvParams", "CplParams"}
+
+
+def device_class_checks(path: Path) -> list[int]:
+    """The lines of a module's ``isinstance`` calls that name a device
+    parameter class, bare or as an attribute, alone or in a tuple."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            named_classes = {getattr(n, "id", None) or getattr(n, "attr", None) for arg in node.args[1:]
+                             for n in ast.walk(arg)}
+            if named_classes & DEVICE_CLASSES:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_the_device_module_decides_a_device_role():
+    # A node's device role and power-flow law are decided in dstab.devices alone.
+    package = [p for p in sorted((ROOT / "src" / "dstab").glob("*.py")) if p.name != "devices.py"]
+    assert len(package) > 5
+    assert {str(p.relative_to(ROOT)): lines for p in package if (lines := device_class_checks(p))} == {}
+
+
+def test_device_class_scan_sees_every_form(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import dstab.devices as dev\nfrom dstab.devices import PvParams\n\n\ndef f(d):\n"
+                      "    return (isinstance(d, dev.CplParams) or isinstance(d, (int, PvParams))\n"
+                      "            or isinstance(d, int) or isinstance(d.CplParams, float))\n")
+    assert device_class_checks(module) == [6, 6]
