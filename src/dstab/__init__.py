@@ -40,7 +40,6 @@ from .network import (
     AdmittanceMatrix,
     GridCode,
     NodePartition,
-    build_admittance,
     check_rotated_psd,
     grid_code,
     network_matrix,

@@ -38,46 +38,70 @@ class NodePartition:
         if len(set(self.source_ids)) != len(self.source_ids) or len(set(self.load_ids)) != len(self.load_ids):
             raise NetworkError("duplicate node index in partition")
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.source_ids) + len(self.load_ids)
-
     def covers(self, n: int) -> bool:
         return set(self.source_ids) | set(self.load_ids) == set(range(n))
 
 
 @dataclass(frozen=True)
 class AdmittanceMatrix:
-    """Dense symmetric admittance matrix with a source/load partition.
+    """A resistive network: its line list, its node count and a source/load
+    partition, with the weighted Laplacian ``Y`` built from them.
 
-    Invariants: symmetric, zero row sums (pure resistive Laplacian, no
-    shunts), nonpositive off-diagonal entries.
+    ``lines`` holds (i, j, resistance in ohms) on 0-based nodes; parallel
+    lines add their conductances.  The graph must be connected.  ``Y`` is
+    summed line by line in list order, so it is symmetric with zero row sums
+    (no shunts) and nonpositive off-diagonal entries by construction; it is
+    read-only.
     """
 
-    Y: np.ndarray
+    lines: tuple[tuple[int, int, float], ...]
+    n_nodes: int
     partition: NodePartition
 
     def __post_init__(self) -> None:
-        Y = np.array(self.Y, dtype=float)
-        n = Y.shape[0]
-        if Y.shape != (n, n):
-            raise NetworkError("admittance matrix must be square")
-        scale = max(float(np.max(np.abs(Y))), 1e-300)
-        if float(np.max(np.abs(Y - Y.T))) > 1e-12 * scale:
-            raise NetworkError("admittance matrix must be symmetric")
-        if float(np.max(np.abs(Y.sum(axis=1)))) > 1e-9 * scale:
-            raise NetworkError("admittance matrix must have zero row sums")
-        off = Y - np.diag(np.diag(Y))
-        if float(np.max(off)) > 1e-12 * scale:
-            raise NetworkError("off-diagonal admittance entries must be <= 0")
+        n = self.n_nodes
+        if n < 1:
+            raise NetworkError("network needs at least one node")
+        lines = tuple((int(i), int(j), float(r)) for i, j, r in self.lines)
+        object.__setattr__(self, "lines", lines)
+        adj: list[set[int]] = [set() for _ in range(n)]
+        rows, cols, vals = [], [], []
+        for i, j, r in lines:
+            if not (0 <= i < n and 0 <= j < n) or i == j:
+                raise NetworkError(f"bad edge ({i}, {j}) for {n} nodes")
+            if not 0 < r < math.inf:
+                raise NetworkError(f"line resistance must be positive and finite, got {r} on ({i}, {j})")
+            g = 1.0 / r
+            if g == math.inf:
+                raise NetworkError(f"line ({i}, {j}) has resistance {r!r}, whose conductance 1/R overflows")
+            adj[i].add(j)
+            adj[j].add(i)
+            rows += (i, j, i, j)
+            cols += (j, i, i, j)
+            vals += (-g, -g, g, g)
+        # connectivity via breadth-first search
+        seen = {0}
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in adj[u]:
+                    if v not in seen:
+                        seen.add(v)
+                        nxt.append(v)
+            frontier = nxt
+        if len(seen) != n:
+            raise NetworkError(f"network graph is disconnected ({len(seen)} of {n} nodes reachable)")
         if not self.partition.covers(n):
             raise NetworkError("partition must cover every node exactly once")
+        Y = np.zeros((n, n))
+        with np.errstate(over="ignore"):  # an overflow is rejected below
+            np.add.at(Y, (np.array(rows, dtype=int), np.array(cols, dtype=int)), vals)
+        # Each |off-diagonal entry| sums some of the terms of its row's diagonal, so it is no larger.
+        for k in np.flatnonzero(np.diagonal(Y) == math.inf)[:1]:
+            raise NetworkError(f"the conductances of the lines at node {k} sum past the largest double")
         Y.flags.writeable = False
         object.__setattr__(self, "Y", Y)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.Y.shape[0]
 
 
 @dataclass(frozen=True)
@@ -111,43 +135,6 @@ class GridCode:
             "y_s_lower_bound": self.bound if self.ll_assumption_ok else None,
             "y_virtual": list(self.y_virtual),
         }
-
-
-def build_admittance(
-    edges: list[tuple[int, int, float]], n_nodes: int, partition: NodePartition
-) -> AdmittanceMatrix:
-    """Weighted Laplacian from a line list (i, j, resistance in ohms)."""
-    if n_nodes < 1:
-        raise NetworkError("network needs at least one node")
-    Y = np.zeros((n_nodes, n_nodes))
-    adj: list[set[int]] = [set() for _ in range(n_nodes)]
-    for i, j, r in edges:
-        i, j = int(i), int(j)
-        if not (0 <= i < n_nodes and 0 <= j < n_nodes) or i == j:
-            raise NetworkError(f"bad edge ({i}, {j}) for {n_nodes} nodes")
-        if r <= 0:
-            raise NetworkError(f"line resistance must be positive, got {r} on ({i}, {j})")
-        g = 1.0 / float(r)
-        Y[i, j] -= g
-        Y[j, i] -= g
-        Y[i, i] += g
-        Y[j, j] += g
-        adj[i].add(j)
-        adj[j].add(i)
-    # connectivity via breadth-first search
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    if len(seen) != n_nodes:
-        raise NetworkError(f"network graph is disconnected ({len(seen)} of {n_nodes} nodes reachable)")
-    return AdmittanceMatrix(Y, partition)
 
 
 def network_matrix(Y: AdmittanceMatrix, theta0: float, d: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 from . import devices as dev
 from .cpoly import TRIM_TOL
 from .errors import ScenarioError
-from .network import AdmittanceMatrix, GridCode, NodePartition, build_admittance, grid_code
+from .network import AdmittanceMatrix, GridCode, NodePartition, grid_code
 from .regions import Region, parts, region_from_spec
 from .sim import DisturbanceSpec
 from .dstability import SystemModel
@@ -46,9 +46,6 @@ class Scenario:
 
     name: str
     nominal_voltage: float
-    n_nodes: int
-    edges: list[tuple[int, int, float]]
-    partition: NodePartition
     devices: list[dev.DeviceParams]
     region: Region
     pinned_equilibrium: dev.Equilibrium | None
@@ -133,18 +130,29 @@ def load_scenario(path: str | Path, region: Region | None = None) -> Scenario:
             raise ScenarioError(f"edge {e!r} must be [i, j, R_ohm]")
         i = _node_index(e[0], n_nodes, "edges")
         j = _node_index(e[1], n_nodes, "edges")
+        if i == j:
+            raise ScenarioError(f"edge ({e[0]}, {e[1]}) joins node {e[0]} to itself")
         r = _finite(e[2], f"resistance of edge ({e[0]}, {e[1]})")
         if r <= 0:
             raise ScenarioError(f"edge ({e[0]}, {e[1]}) needs a positive resistance, got {r!r}")
+        if 1.0 / r == math.inf:
+            raise ScenarioError(f"edge ({e[0]}, {e[1]}) has resistance {r!r}, whose conductance 1/R overflows")
         edges.append((i, j, r))
 
     sources, loads = (
         tuple(_node_index(k, n_nodes, f"topology.{key}") for k in _list(_need(topo, key, "topology"), f"topology.{key}"))
         for key in ("sources", "loads")
     )
-    partition = NodePartition(sources, loads)
-    if not partition.covers(n_nodes):
+    both = sorted(set(sources) & set(loads))
+    if both:
+        raise ScenarioError(f"nodes {[k + 1 for k in both]} appear in both topology.sources and topology.loads")
+    for key, ids in (("sources", sources), ("loads", loads)):
+        if len(set(ids)) != len(ids):
+            twice = sorted({k + 1 for k in ids if ids.count(k) > 1})
+            raise ScenarioError(f"topology.{key} lists nodes {twice} more than once")
+    if len(sources) + len(loads) != n_nodes:
         raise ScenarioError("topology.sources and topology.loads must cover every node exactly once")
+    partition = NodePartition(sources, loads)
 
     blocks = _need(raw, "devices", "scenario")
     if not isinstance(blocks, list) or len(blocks) != n_nodes:
@@ -245,9 +253,6 @@ def load_scenario(path: str | Path, region: Region | None = None) -> Scenario:
     return Scenario(
         name=name,
         nominal_voltage=nominal,
-        n_nodes=n_nodes,
-        edges=edges,
-        partition=partition,
         devices=device_list,  # type: ignore[arg-type]
         region=region,
         pinned_equilibrium=pinned,
@@ -256,7 +261,7 @@ def load_scenario(path: str | Path, region: Region | None = None) -> Scenario:
         t_end=t_end,
         dt=dt,
         band=band,
-        network=build_admittance(edges, n_nodes, partition),  # validates connectivity
+        network=AdmittanceMatrix(edges, n_nodes, partition),  # validates connectivity
     )
 
 
@@ -280,7 +285,7 @@ def resolve_equilibrium(sc: Scenario) -> dev.Equilibrium:
 def load_pairs(sc: Scenario, eq: dev.Equilibrium) -> tuple[tuple[float, float], ...]:
     """(capacitance, conductance) per load node, in partition order."""
     out = []
-    for k in sc.partition.load_ids:
+    for k in sc.network.partition.load_ids:
         cpl = sc.devices[k]
         y_l = dev.cpl_conductance(cpl, eq.u_star[k])
         if cpl.C_l <= TRIM_TOL * y_l:  # the trim rule would drop C_l
@@ -294,7 +299,7 @@ def source_coefficients(sc: Scenario, eq: dev.Equilibrium) -> tuple[dev.GenericS
     """Each source's model at its operating voltage, in partition order: the
     one place a source's parameters become its generic second-order form."""
     out = []
-    for k in sc.partition.source_ids:
+    for k in sc.network.partition.source_ids:
         try:
             out.append(dev.source_coeffs(sc.devices[k], eq.u_star[k]))
         except ValueError as exc:
@@ -306,10 +311,10 @@ def build_model(sc: Scenario, eq: dev.Equilibrium | None = None) -> SystemModel:
     """System model with subsystem transfer functions at the operating point
     (``eq``, resolved here when not given)."""
     eq = eq or resolve_equilibrium(sc)
-    subsystems: list = [None] * sc.n_nodes
-    for k, g in zip(sc.partition.source_ids, source_coefficients(sc, eq)):
+    subsystems: list = [None] * sc.network.n_nodes
+    for k, g in zip(sc.network.partition.source_ids, source_coefficients(sc, eq)):
         subsystems[k] = g.tf
-    for k in sc.partition.load_ids:
+    for k in sc.network.partition.load_ids:
         subsystems[k] = dev.cpl_tf(sc.devices[k], eq.u_star[k])
     return SystemModel(
         subsystems=tuple(subsystems),
@@ -364,7 +369,7 @@ def synthesize(sc: Scenario) -> dict:
     codes = grid_codes(sc, eq)
     reports = compliance(sc, eq, codes)
     part_entries = [
-        [{"node": k + 1, **report.as_dict()} for k, report in zip(sc.partition.source_ids, row)]
+        [{"node": k + 1, **report.as_dict()} for k, report in zip(sc.network.partition.source_ids, row)]
         for row in reports
     ]
     return {

@@ -171,23 +171,18 @@ def random_positive_rational(rng: np.random.Generator) -> CRational:
     return CRational(total_num, total_den)
 
 
-def random_laplacian(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Connected weighted Laplacian: random tree plus a few extra edges."""
-    Y = np.zeros((n, n))
-
-    def add(i: int, j: int) -> None:
-        g = 1.0 / rng.uniform(0.05, 0.5)
-        Y[i, j] -= g
-        Y[j, i] -= g
-        Y[i, i] += g
-        Y[j, j] += g
-
+def random_lines(rng: np.random.Generator, n: int) -> list[tuple[int, int, float]]:
+    """Lines (i, j, resistance) of a connected network: a random tree plus a
+    few extra lines, which may run parallel to another or from the higher
+    node to the lower."""
+    lines = []
     for j in range(1, n):
-        add(int(rng.integers(0, j)), j)
+        i = int(rng.integers(0, j))
+        lines.append((i, j, rng.uniform(0.05, 0.5)))
     for _ in range(int(rng.integers(0, n))):
         i, j = rng.choice(n, size=2, replace=False)
-        add(int(i), int(j))
-    return Y
+        lines.append((int(i), int(j), rng.uniform(0.05, 0.5)))
+    return lines
 
 
 def random_partition(rng: np.random.Generator, n: int, allow_empty_loads: bool = False) -> NodePartition:
@@ -236,7 +231,7 @@ def random_device_mix(rng: np.random.Generator, n: int) -> tuple[AdmittanceMatri
         devices[k] = random_source_params(rng, rng.choice(["boost", "buck", "pv"]))
     for k in partition.load_ids:
         devices[k] = random_cpl(rng)[0]
-    return laplacian_admittance(random_laplacian(rng, n), partition), devices
+    return AdmittanceMatrix(random_lines(rng, n), n, partition), devices
 
 
 def random_mild_subsystem(rng: np.random.Generator) -> CRational:
@@ -262,6 +257,3 @@ def random_cpl(rng: np.random.Generator) -> tuple[dev.CplParams, float]:
     """A load and its bus voltage."""
     return dev.CplParams(C_l=rng.uniform(1e-3, 4e-3), P=rng.uniform(300.0, 2500.0)), rng.uniform(95.0, 105.0)
 
-
-def laplacian_admittance(Y: np.ndarray, partition: NodePartition) -> AdmittanceMatrix:
-    return AdmittanceMatrix(Y, partition)

@@ -3,8 +3,9 @@ compared by the tests against the production function it checks: the
 sampled 2x2 real embedding (criterion 2), the closed-form quadratic
 (criterion 3), the s-domain substitute/rotate/feedback chain and the point
 maps (criterion 4), the closed-form loop-transformed load, the dense
-closed-loop assembly, the eigenvalue-only RK4 step warning and the DC power
-flow decided device by device.
+closed-loop assembly, the eigenvalue-only RK4 step warning, the DC power
+flow decided device by device and the admittance matrix summed line by
+line.
 """
 
 from __future__ import annotations
@@ -506,3 +507,20 @@ def equilibrium_newton_loop(Y: AdmittanceMatrix, devices, nominal_voltage: float
     if np.any(u < 0.5 * nominal_voltage):
         raise ConvergenceError("power flow converged to a low-voltage solution; rejected")
     return u
+
+
+# ---------------------------------------------------------------------------
+# admittance matrix
+
+def admittance_by_line(lines, n_nodes: int) -> np.ndarray:
+    """The weighted Laplacian summed one line at a time, each line's
+    conductance subtracted from its two off-diagonal entries and added to its
+    two diagonal entries."""
+    Y = np.zeros((n_nodes, n_nodes))
+    for i, j, r in lines:
+        g = 1.0 / float(r)
+        Y[i, j] -= g
+        Y[j, i] -= g
+        Y[i, i] += g
+        Y[j, j] += g
+    return Y

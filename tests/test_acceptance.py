@@ -21,7 +21,7 @@ from conftest import (
     characteristic_poly,
     match_distance,
     random_crational,
-    random_laplacian,
+    random_lines,
     random_mild_subsystem,
     random_partition,
     random_positive_rational,
@@ -61,7 +61,7 @@ def _draw_system(rng: np.random.Generator):
     part = random_partition(rng, n, allow_empty_loads=True)
     if not part.source_ids:
         return None
-    Y = AdmittanceMatrix(random_laplacian(rng, n), part)
+    Y = AdmittanceMatrix(random_lines(rng, n), n, part)
 
     loads = []
     load_cy = []
@@ -289,7 +289,7 @@ def test_criterion_4_mapping_fidelity(rng):
     for _ in range(50):
         n = int(rng.integers(2, 4))
         part = NodePartition(tuple(range(n)), ())
-        Y = AdmittanceMatrix(random_laplacian(rng, n), part)
+        Y = AdmittanceMatrix(random_lines(rng, n), n, part)
         subs = tuple(random_mild_subsystem(rng) for _ in range(n))
         region = HalfPlaneRegion(
             float(rng.uniform(0, math.pi / 2)), float(rng.uniform(0, 5)), -float(rng.uniform(0, 3))
@@ -321,7 +321,7 @@ def test_criterion_5_schur_equivalence(rng):
         part = random_partition(rng, n)
         if not part.source_ids or not part.load_ids:
             continue
-        Y = AdmittanceMatrix(random_laplacian(rng, n), part)
+        Y = AdmittanceMatrix(random_lines(rng, n), n, part)
         theta = float(rng.uniform(0, 1.45))
         y_v = rng.uniform(-0.1, 0.6, size=len(part.load_ids))
         try:

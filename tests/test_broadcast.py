@@ -68,7 +68,7 @@ def test_printed_broadcast_gives_the_in_memory_verdicts(capsys, tmp_path, case):
     assert len(printed) == len(in_memory)
     for entry, row in zip(printed, in_memory):
         broadcast = parse_broadcast(entry)
-        for k, expected in zip(sc.partition.source_ids, row):
+        for k, expected in zip(sc.network.partition.source_ids, row):
             rep = dev.check_compliance([dev.source_coeffs(sc.devices[k], eq.u_star[k])], broadcast)[0]
             assert (rep.compliant, rep.binding) == (expected.compliant, expected.binding), f"node {k + 1}"
             if expected.y_s is None:
@@ -96,7 +96,7 @@ def with_perturbed_sources(sc: Scenario, nodes: set[int]) -> Scenario:
 
 def test_broadcast_reads_no_source_model(synthesized):
     sc, eq = synthesized
-    sources = set(sc.partition.source_ids)
+    sources = set(sc.network.partition.source_ids)
     changed = with_perturbed_sources(sc, sources)
     assert all(a != b for a, b in zip(source_coefficients(sc, eq), source_coefficients(changed, eq)))
     assert dumps([c.as_dict() for c in grid_codes(changed, eq)]) == dumps([c.as_dict() for c in grid_codes(sc, eq)])
@@ -111,8 +111,8 @@ def test_device_verdict_reads_no_other_device(synthesized):
     codes = grid_codes(sc, eq)
     alone = compliance(sc, eq, codes)
     others_moved = False
-    for pos, k in enumerate(sc.partition.source_ids):
-        others = set(sc.partition.source_ids) - {k}
+    for pos, k in enumerate(sc.network.partition.source_ids):
+        others = set(sc.network.partition.source_ids) - {k}
         rows = compliance(with_perturbed_sources(sc, others), eq, codes)
         for row, base in zip(rows, alone):
             assert dumps(row[pos].as_dict()) == dumps(base[pos].as_dict()), f"node {k + 1}"

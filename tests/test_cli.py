@@ -264,6 +264,20 @@ class TestCheck:
         assert "equilibrium" in err
 
 
+# Topology inputs that load_scenario rejects, each naming the file's 1-based
+# node ids, with the exact error message.
+TOPOLOGY_ERRORS = {
+    "source-also-load": (lambda raw: raw["topology"].update(loads=[3, 2]),
+                         "nodes [2] appear in both topology.sources and topology.loads"),
+    "repeated-source": (lambda raw: raw["topology"].update(sources=[1, 2, 1]),
+                        "topology.sources lists nodes [1] more than once"),
+    "self-loop": (lambda raw: raw["topology"]["edges"].__setitem__(0, [3, 3, 0.1]),
+                  "edge (3, 3) joins node 3 to itself"),
+    "conductance-overflow": (lambda raw: raw["topology"]["edges"][0].__setitem__(2, 1e-310),
+                             "edge (1, 3) has resistance 1e-310, whose conductance 1/R overflows"),
+}
+
+
 class TestInputContract:
     @pytest.mark.parametrize(
         "mutate",
@@ -374,6 +388,27 @@ class TestInputContract:
         code, out, err = run(capsys, *command, str(path), *extra)
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": "input", "message": message}
+
+    @pytest.mark.parametrize("mutate, message", TOPOLOGY_ERRORS.values(), ids=TOPOLOGY_ERRORS.keys())
+    def test_topology_error_names_file_nodes(self, capsys, tmp_path, mutate, message):
+        code, out, err = run(capsys, "check", str(toy_variant(tmp_path, mutate)))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "input", "message": message}
+
+    @pytest.mark.parametrize("case", ["resistance-nan", *TOPOLOGY_ERRORS, "conductance-sum-overflow"])
+    def test_topology_errors_print_one_error_object_under_warnings_as_errors(self, tmp_path, case):
+        # In a fresh interpreter in which a numpy RuntimeWarning is an exception (exit 3, internal).
+        mutate = {
+            "resistance-nan": lambda raw: raw["topology"]["edges"][0].__setitem__(2, math.nan),
+            "conductance-sum-overflow": lambda raw: raw["topology"].update(edges=[[1, 3, 1e-308], [2, 3, 1e-308]]),
+        }.get(case) or TOPOLOGY_ERRORS[case][0]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "dstab.cli", "check",
+                               str(toy_variant(tmp_path, mutate))], env=env, capture_output=True, text=True)
+        assert proc.returncode == 2 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "input"
 
     @pytest.mark.parametrize("nominal, code", [(-100.0, 2), (-1e6, 2), (0.0, 2), (1e-300, 3), (1e300, 3)])
     @pytest.mark.parametrize("command", ["check", "poles", "simulate"])

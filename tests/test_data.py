@@ -32,15 +32,14 @@ def tuned():
 
 class TestIeee39Files:
     def test_topology_shape(self, default):
-        assert default.n_nodes == 39
-        assert len(default.edges) == 46
-        assert all(r == pytest.approx(0.1) for _, _, r in default.edges)
-        assert len(default.partition.source_ids) == 24
-        assert len(default.partition.load_ids) == 15
+        assert default.network.n_nodes == 39
+        assert len(default.network.lines) == 46
+        assert all(r == pytest.approx(0.1) for _, _, r in default.network.lines)
+        assert len(default.network.partition.source_ids) == 24
+        assert len(default.network.partition.load_ids) == 15
 
     def test_both_files_share_topology(self, default, tuned):
-        assert default.edges == tuned.edges
-        assert default.partition == tuned.partition
+        assert default.network == tuned.network
 
     def test_pinned_equilibria_validate(self, default, tuned):
         for sc in (default, tuned):
@@ -105,7 +104,7 @@ class TestToyFile:
 
     def test_loads_and_validates(self):
         sc = load_scenario(DATA / "toy3.json")
-        assert sc.n_nodes == 3
+        assert sc.network.n_nodes == 3
         assert sc.disturbance is not None
         eq = resolve_equilibrium(sc)
         assert len(eq.u_star) == 3

@@ -17,7 +17,7 @@ from crosscheck import (equilibrium_newton_loop, feedback, modified_cpl, power_f
 from dstab import devices as dev
 from dstab.cpoly import CRational, roots
 from dstab.errors import ConvergenceError, NetworkError, PrecisionError
-from dstab.network import NodePartition, build_admittance, grid_code, virtual_admittance_from_conductance
+from dstab.network import AdmittanceMatrix, NodePartition, grid_code, virtual_admittance_from_conductance
 from dstab.positivity import FailedCondition, PositivityReport, check_positive_siso
 from dstab.regions import HalfPlaneRegion, horizontal_strip, sector, shifted_lhp
 from dstab.scenario import data_path, load_scenario, parse_device
@@ -336,7 +336,7 @@ class TestBounds:
 class TestEquilibrium:
     def _two_node(self, p_load: float):
         part = NodePartition((0,), (1,))
-        Y = build_admittance([(0, 1, 0.1)], 2, part)
+        Y = AdmittanceMatrix([(0, 1, 0.1)], 2, part)
         boost = dev.EssBoostParams(C=2e-3, E=50.0, U_r=105.0, R_d=0.6, kP_u=0.01, kI_u=60.0)
         cpl = dev.CplParams(C_l=2e-3, P=p_load)
         return Y, [boost, cpl]
@@ -369,7 +369,7 @@ class TestEquilibrium:
     def test_low_voltage_rejected(self):
         # a deep radial feeder converges to a sub-half-nominal far-end voltage
         part = NodePartition((0,), (1, 2))
-        Y = build_admittance([(0, 1, 1.0), (1, 2, 2.6)], 3, part)
+        Y = AdmittanceMatrix([(0, 1, 1.0), (1, 2, 2.6)], 3, part)
         devices = [
             dev.EssBoostParams(C=2e-3, E=50.0, U_r=105.0, R_d=0.5, kP_u=0.01, kI_u=60.0),
             dev.CplParams(C_l=2e-3, P=1000.0),
@@ -385,7 +385,7 @@ class TestEquilibrium:
 
     def test_needs_a_droop_source(self):
         part = NodePartition((0,), (1,))
-        Y = build_admittance([(0, 1, 0.1)], 2, part)
+        Y = AdmittanceMatrix([(0, 1, 0.1)], 2, part)
         pv = dev.PvParams(C=2e-3, kP_u=0.1, kI_u=0.5, U_r_pv=36.12, i_pv_star=38.76)
         with pytest.raises(NetworkError, match="at least one droop-controlled source"):
             dev.equilibrium_solve(Y, [pv, dev.CplParams(C_l=2e-3, P=100.0)], 105.0)
@@ -474,7 +474,7 @@ class TestParseDevice:
 class TestCompliance:
     def _setup(self, region):
         part = NodePartition((0, 1), (2,))
-        Y = build_admittance([(0, 2, 0.1), (1, 2, 0.1)], 3, part)
+        Y = AdmittanceMatrix([(0, 2, 0.1), (1, 2, 0.1)], 3, part)
         return grid_code(Y, region, [(2e-3, 0.15)])
 
     def test_feasible_interval_picks_cap(self):
@@ -519,7 +519,7 @@ class TestCompliance:
         # A broadcast whose damping assumption fails is rejected by a
         # report, not an exception, and the failed assumption binds.
         part = NodePartition((0, 1), (2,))
-        Y = build_admittance([(0, 2, 0.1), (1, 2, 0.1)], 3, part)
+        Y = AdmittanceMatrix([(0, 2, 0.1), (1, 2, 0.1)], 3, part)
         gc = grid_code(Y, shifted_lhp(0.0), [(2e-3, 25.0)])
         assert not gc.ll_assumption_ok
         rep = dev.check_compliance([dev.coeffs_ess_buck(BUCK)], gc)[0]

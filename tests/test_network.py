@@ -4,16 +4,18 @@ the Schur-complement grid code."""
 from __future__ import annotations
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import random_laplacian, random_partition
+from conftest import random_lines, random_partition
+from crosscheck import admittance_by_line
 from dstab.errors import LLAssumptionError, NetworkError
 from dstab.network import (
     AdmittanceMatrix,
     NodePartition,
-    build_admittance,
     GridCode,
     check_rotated_psd,
     grid_code,
@@ -21,11 +23,16 @@ from dstab.network import (
     schur_xi,
 )
 from dstab.regions import horizontal_strip, sector, shifted_lhp
+from dstab.scenario import data_path, load_scenario
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import meshgen  # noqa: E402
 
 
 @pytest.fixture
 def star3() -> AdmittanceMatrix:
-    return build_admittance([(0, 2, 0.1), (1, 2, 0.1)], 3, NodePartition((0, 1), (2,)))
+    return AdmittanceMatrix([(0, 2, 0.1), (1, 2, 0.1)], 3, NodePartition((0, 1), (2,)))
 
 
 def block(Y: AdmittanceMatrix, rows: str, cols: str) -> np.ndarray:
@@ -46,7 +53,7 @@ def complex_psd_reference(Y: AdmittanceMatrix, theta0: float, rho: np.ndarray) -
 
 class TestBuild:
     def test_two_node_line(self):
-        Y = build_admittance([(0, 1, 0.1)], 2, NodePartition((0,), (1,)))
+        Y = AdmittanceMatrix([(0, 1, 0.1)], 2, NodePartition((0,), (1,)))
         assert np.allclose(Y.Y, [[10.0, -10.0], [-10.0, 10.0]])
 
     def test_three_node_star(self, star3):
@@ -55,25 +62,84 @@ class TestBuild:
         assert star3.Y[0, 1] == pytest.approx(0.0)
 
     def test_parallel_edges_add_conductance(self):
-        Y = build_admittance([(0, 1, 0.2), (0, 1, 0.2)], 2, NodePartition((0,), (1,)))
+        Y = AdmittanceMatrix([(0, 1, 0.2), (0, 1, 0.2)], 2, NodePartition((0,), (1,)))
         assert Y.Y[0, 0] == pytest.approx(10.0)
 
     def test_nonpositive_resistance_rejected(self):
         with pytest.raises(NetworkError):
-            build_admittance([(0, 1, 0.0)], 2, NodePartition((0,), (1,)))
+            AdmittanceMatrix([(0, 1, 0.0)], 2, NodePartition((0,), (1,)))
+
+    @pytest.mark.parametrize("r", [-0.1, math.nan, math.inf])
+    def test_resistance_must_be_positive_and_finite(self, r):
+        with pytest.raises(NetworkError, match=r"^line resistance must be positive and finite, got .* on \(0, 1\)$"):
+            AdmittanceMatrix([(0, 1, r)], 2, NodePartition((0,), (1,)))
+
+    @pytest.mark.parametrize("i, j", [(1, 1), (0, 2), (-1, 0)])
+    def test_bad_edge_rejected(self, i, j):
+        with pytest.raises(NetworkError, match=rf"^bad edge \({i}, {j}\) for 2 nodes$"):
+            AdmittanceMatrix([(0, 1, 0.1), (i, j, 0.1)], 2, NodePartition((0,), (1,)))
+
+    def test_overflowing_conductance_names_the_line(self):
+        # 1/R overflows below R = 1/DBL_MAX, about 5.6e-309.
+        AdmittanceMatrix([(0, 1, 5.6e-309)], 2, NodePartition((0,), (1,)))
+        with pytest.raises(NetworkError, match=r"^line \(1, 0\) has resistance 1e-310, whose conductance 1/R overflows$"):
+            AdmittanceMatrix([(0, 1, 0.1), (1, 0, 1e-310)], 2, NodePartition((0,), (1,)))
+
+    def test_overflowing_conductance_sum_names_the_node(self):
+        # Each line's conductance is finite; the two at node 1 sum past DBL_MAX.
+        with pytest.raises(NetworkError, match="^the conductances of the lines at node 1 sum past the largest double$"):
+            AdmittanceMatrix([(0, 1, 1e-308), (1, 2, 1e-308)], 3, NodePartition((0, 1), (2,)))
+
+    def test_lines_are_normalized_and_y_is_read_only(self):
+        Y = AdmittanceMatrix([[np.int64(0), 1, 1]], 2, NodePartition((0,), (1,)))
+        assert Y.lines == ((0, 1, 1.0),) and all(type(v) is t for v, t in zip(Y.lines[0], (int, int, float)))
+        assert not Y.Y.flags.writeable
+        with pytest.raises(ValueError):
+            Y.Y[0, 0] = 2.0
+
+    @pytest.mark.parametrize("source", ["toy3", "ieee39_default", "ieee39_synthesized", 64, 200, 640],
+                             ids=["toy3", "ieee39_default", "ieee39_synthesized", "mesh-n64-s1", "mesh-n200-s1",
+                                  "mesh-n640-s1"])
+    def test_shipped_networks_match_the_line_loop(self, tmp_path, source):
+        if isinstance(source, str):
+            path = data_path(source)
+        else:
+            path = meshgen.write_scenario(meshgen.mesh_scenario(source, 1), tmp_path / "mesh.json")
+        Y = load_scenario(path).network
+        ref = admittance_by_line(Y.lines, Y.n_nodes)
+        assert np.array_equal(Y.Y, ref) and np.array_equal(np.signbit(Y.Y), np.signbit(ref))
+
+    def test_random_lines_match_the_line_loop(self, rng):
+        parallel = reversed_ = 0
+        for _ in range(250):
+            n = int(rng.integers(2, 16))
+            lines = random_lines(rng, n)
+            # A line parallel to another, from its other end, and a few more parallel lines.
+            i, j, _ = lines[int(rng.integers(len(lines)))]
+            lines.append((j, i, rng.uniform(0.05, 0.5)))
+            for k in rng.choice(len(lines), size=int(rng.integers(0, 3))):
+                lines.append((*lines[k][:2], rng.uniform(1e-3, 10.0)))
+            lines = [lines[k] for k in rng.permutation(len(lines))]
+            pairs = [(min(i, j), max(i, j)) for i, j, _ in lines]
+            parallel += len(set(pairs)) < len(pairs)
+            reversed_ += any(i > j for i, j, _ in lines)
+            Y = AdmittanceMatrix(lines, n, NodePartition(tuple(range(n)), ())).Y
+            ref = admittance_by_line(lines, n)
+            assert np.array_equal(Y, ref) and np.array_equal(np.signbit(Y), np.signbit(ref))
+        assert parallel == 250 and reversed_ == 250
 
     def test_disconnected_rejected(self):
         with pytest.raises(NetworkError):
-            build_admittance([(0, 1, 0.1)], 3, NodePartition((0, 1), (2,)))
+            AdmittanceMatrix([(0, 1, 0.1)], 3, NodePartition((0, 1), (2,)))
 
     def test_partition_must_cover(self):
         with pytest.raises(NetworkError):
-            build_admittance([(0, 1, 0.1), (1, 2, 0.1)], 3, NodePartition((0,), (2,)))
+            AdmittanceMatrix([(0, 1, 0.1), (1, 2, 0.1)], 3, NodePartition((0,), (2,)))
 
     def test_laplacian_zero_mode(self, rng):
         for _ in range(10):
             n = int(rng.integers(3, 8))
-            Y = random_laplacian(rng, n)
+            Y = AdmittanceMatrix(random_lines(rng, n), n, NodePartition(tuple(range(n)), ())).Y
             assert np.allclose(Y @ np.ones(n), 0.0, atol=1e-9)
             eigs = np.linalg.eigvalsh(Y)
             assert eigs[0] == pytest.approx(0.0, abs=1e-9)
@@ -82,7 +148,7 @@ class TestBuild:
         for _ in range(20):
             n = int(rng.integers(3, 9))
             part = random_partition(rng, n)
-            Y = AdmittanceMatrix(random_laplacian(rng, n), part)
+            Y = AdmittanceMatrix(random_lines(rng, n), n, part)
             if not part.load_ids:
                 continue
             assert np.linalg.eigvalsh(block(Y, "l", "l"))[0] > 0
@@ -117,7 +183,7 @@ class TestRotation:
         verdicts = set()
         for _ in range(60):
             n = int(rng.integers(2, 13))
-            Y = AdmittanceMatrix(random_laplacian(rng, n), random_partition(rng, n))
+            Y = AdmittanceMatrix(random_lines(rng, n), n, random_partition(rng, n))
             theta = {"zero": 0.0, "right": math.pi / 2, "uniform": float(rng.uniform(0.0, math.pi / 2))}[angle]
             rho = rng.uniform(-1.0, 1.0, size=n) * float(rng.choice([1e-3, 1.0, 10.0]))
             rho[rng.random(n) < 0.3] = 0.0
@@ -162,7 +228,7 @@ class TestSchur:
             part = random_partition(rng, n)
             if not part.source_ids:
                 continue
-            Y = AdmittanceMatrix(random_laplacian(rng, n), part)
+            Y = AdmittanceMatrix(random_lines(rng, n), n, part)
             theta = {"zero": 0.0, "right": math.pi / 2, "uniform": float(rng.uniform(0.0, math.pi / 2 - 0.05))}[angle]
             c = math.cos(theta)
             low, high = (-0.3, -0.01) if angle == "right" else (-0.1, 0.3)
@@ -186,7 +252,7 @@ class TestSchur:
             part = random_partition(rng, n)
             if not part.source_ids or not part.load_ids:
                 continue
-            Y = AdmittanceMatrix(random_laplacian(rng, n), part)
+            Y = AdmittanceMatrix(random_lines(rng, n), n, part)
             y_v = rng.uniform(-0.1, 0.2, size=len(part.load_ids))
             try:
                 xi = schur_xi(Y, float(rng.uniform(0, math.pi / 2 - 0.05)), y_v)
@@ -201,7 +267,7 @@ class TestSchur:
             part = random_partition(rng, n)
             if not part.source_ids or not part.load_ids:
                 continue
-            Y = AdmittanceMatrix(random_laplacian(rng, n), part)
+            Y = AdmittanceMatrix(random_lines(rng, n), n, part)
             theta = float(rng.uniform(0, 1.4))
             y_v = rng.uniform(0.0, 0.3, size=len(part.load_ids))
             try:
@@ -237,7 +303,7 @@ class TestGridCode:
             part = random_partition(rng, n)
             if not part.source_ids or not part.load_ids:
                 continue
-            Y = AdmittanceMatrix(random_laplacian(rng, n), part)
+            Y = AdmittanceMatrix(random_lines(rng, n), n, part)
             gc = grid_code(Y, shifted_lhp(0.0), [(1e-3, 0.0)] * len(part.load_ids))
             assert gc.bound <= 1e-9
 
@@ -255,7 +321,7 @@ class TestGridCode:
         assert not gc.ll_assumption_ok
 
     def test_needs_both_sides(self):
-        Y = build_admittance([(0, 1, 0.1)], 2, NodePartition((0, 1), ()))
+        Y = AdmittanceMatrix([(0, 1, 0.1)], 2, NodePartition((0, 1), ()))
         with pytest.raises(NetworkError):
             grid_code(Y, shifted_lhp(0.0), [])
 

@@ -21,7 +21,7 @@ from dstab import sim
 from dstab.cpoly import CRational
 from dstab.dstability import SystemModel, assemble_closed_loop, closed_loop_poles
 from dstab.errors import DivergenceError, DstabError
-from dstab.network import NodePartition, build_admittance
+from dstab.network import AdmittanceMatrix, NodePartition
 from dstab.regions import shifted_lhp
 from dstab.sim import DisturbanceSpec, Trajectory, metrics, simulate
 
@@ -33,7 +33,7 @@ import meshgen  # noqa: E402
 @pytest.fixture
 def toy_model() -> SystemModel:
     part = NodePartition((0, 1), (2,))
-    Y = build_admittance([(0, 2, 0.1), (1, 2, 0.1)], 3, part)
+    Y = AdmittanceMatrix([(0, 2, 0.1), (1, 2, 0.1)], 3, part)
     buck = dev.coeffs_ess_buck(dev.EssBuckParams(C=3e-3, E=200.0, U_r=105.0, R_d=0.7, kP_u=0.38, kI_u=21.0))
     cpl = dev.CplParams(C_l=2e-3, P=1500.0)
     u_star = 100.0

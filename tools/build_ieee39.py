@@ -27,7 +27,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dstab import devices as dev
 from dstab.cli import dumps
-from dstab.network import AdmittanceMatrix, GridCode, NodePartition, build_admittance, grid_code
+from dstab.network import AdmittanceMatrix, GridCode, NodePartition, grid_code
 from dstab.regions import family, parts, region_from_spec
 from dstab.scenario import parse_device
 
@@ -81,7 +81,7 @@ SIMULATION = {"t_end_s": 1.5, "dt_s": 2e-5, "band": 0.02}
 def build_network() -> AdmittanceMatrix:
     sources = tuple(n - 1 for n in BOOST_NODES + BUCK_NODES + PV_NODES)
     loads = tuple(n - 1 for n in CPL_NODES)
-    return build_admittance([(i - 1, j - 1, LINE_R) for i, j in BRANCHES], 39,
+    return AdmittanceMatrix([(i - 1, j - 1, LINE_R) for i, j in BRANCHES], 39,
                             NodePartition(sources, loads))
 
 

@@ -19,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dstab import devices as dev
 from dstab.cli import dumps
-from dstab.network import NodePartition, build_admittance
+from dstab.network import AdmittanceMatrix, NodePartition
 from dstab.scenario import parse_device
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "dstab" / "data"
@@ -36,7 +36,7 @@ BLOCKS = [
 
 def main(out_dir: Path = DATA_DIR) -> None:
     part = NodePartition((0, 1), (2,))
-    Y = build_admittance([(0, 2, 0.1), (1, 2, 0.1)], 3, part)
+    Y = AdmittanceMatrix([(0, 2, 0.1), (1, 2, 0.1)], 3, part)
     eq = dev.equilibrium_solve(Y, [parse_device(block, 3)[1] for block in BLOCKS], NOMINAL)
     print("toy equilibrium:", [f"{u:.4f}" for u in eq.u_star])
     scenario = {
