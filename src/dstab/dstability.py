@@ -100,7 +100,7 @@ class PartCertificate:
     network_lambda_min: float
     device_reports: tuple[PositivityReport, ...]
     certified: bool
-    notes: tuple[str, ...] = ()
+    notes: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,7 @@ def closed_loop_poles(m: SystemModel) -> list[complex]:
 
 def part_positivity(
     m: SystemModel, part: HalfPlaneRegion, part_index: int,
-    compliance: Sequence[ComplianceReport] | None = None,
+    compliance: Sequence[ComplianceReport] | None,
 ) -> tuple[np.ndarray, np.ndarray, list[PositivityReport]]:
     """Every subsystem mapped into the nu-plane of ``part``, rotated by its
     angle theta0 and closed through its loop-transform gain rho, in one

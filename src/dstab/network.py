@@ -32,14 +32,13 @@ class NodePartition:
     def __post_init__(self) -> None:
         object.__setattr__(self, "source_ids", tuple(int(i) for i in self.source_ids))
         object.__setattr__(self, "load_ids", tuple(int(i) for i in self.load_ids))
-        overlap = set(self.source_ids) & set(self.load_ids)
-        if overlap:
-            raise NetworkError(f"nodes {sorted(overlap)} appear as both source and load")
-        if len(set(self.source_ids)) != len(self.source_ids) or len(set(self.load_ids)) != len(self.load_ids):
-            raise NetworkError("duplicate node index in partition")
-
-    def covers(self, n: int) -> bool:
-        return set(self.source_ids) | set(self.load_ids) == set(range(n))
+        both = sorted(set(self.source_ids) & set(self.load_ids))
+        if both:
+            raise NetworkError(f"nodes {[k + 1 for k in both]} appear in both the sources and the loads")
+        for role, ids in (("sources", self.source_ids), ("loads", self.load_ids)):
+            if len(set(ids)) != len(ids):
+                twice = sorted({k + 1 for k in ids if ids.count(k) > 1})
+                raise NetworkError(f"the {role} list nodes {twice} more than once")
 
 
 @dataclass(frozen=True)
@@ -48,10 +47,13 @@ class AdmittanceMatrix:
     partition, with the weighted Laplacian ``Y`` built from them.
 
     ``lines`` holds (i, j, resistance in ohms) on 0-based nodes; parallel
-    lines add their conductances.  The graph must be connected.  ``Y`` is
-    summed line by line in list order, so it is symmetric with zero row sums
-    (no shunts) and nonpositive off-diagonal entries by construction; it is
-    read-only.
+    lines add their conductances.  The partition must cover every node and
+    the graph must be connected.  ``Y`` is summed line by line in list
+    order, so it is symmetric with zero row sums (no shunts) and nonpositive
+    off-diagonal entries by construction; it is read-only.
+
+    This constructor and :class:`NodePartition` decide every topology rule,
+    and their errors name nodes 1-based, as a scenario file does.
     """
 
     lines: tuple[tuple[int, int, float], ...]
@@ -62,18 +64,25 @@ class AdmittanceMatrix:
         n = self.n_nodes
         if n < 1:
             raise NetworkError("network needs at least one node")
+        nodes, roles = set(range(n)), set(self.partition.source_ids + self.partition.load_ids)
+        if roles - nodes:
+            raise NetworkError(f"the partition names nodes {sorted(k + 1 for k in roles - nodes)} outside 1..{n}")
+        if roles != nodes:
+            raise NetworkError(f"nodes {sorted(k + 1 for k in nodes - roles)} are neither sources nor loads")
         lines = tuple((int(i), int(j), float(r)) for i, j, r in self.lines)
         object.__setattr__(self, "lines", lines)
         adj: list[set[int]] = [set() for _ in range(n)]
         rows, cols, vals = [], [], []
         for i, j, r in lines:
-            if not (0 <= i < n and 0 <= j < n) or i == j:
-                raise NetworkError(f"bad edge ({i}, {j}) for {n} nodes")
+            if not (0 <= i < n and 0 <= j < n):
+                raise NetworkError(f"edge ({i + 1}, {j + 1}) names a node outside 1..{n}")
+            if i == j:
+                raise NetworkError(f"edge ({i + 1}, {j + 1}) joins node {i + 1} to itself")
             if not 0 < r < math.inf:
-                raise NetworkError(f"line resistance must be positive and finite, got {r} on ({i}, {j})")
+                raise NetworkError(f"edge ({i + 1}, {j + 1}) needs a positive finite resistance, got {r!r}")
             g = 1.0 / r
             if g == math.inf:
-                raise NetworkError(f"line ({i}, {j}) has resistance {r!r}, whose conductance 1/R overflows")
+                raise NetworkError(f"edge ({i + 1}, {j + 1}) has resistance {r!r}, whose conductance 1/R overflows")
             adj[i].add(j)
             adj[j].add(i)
             rows += (i, j, i, j)
@@ -91,15 +100,14 @@ class AdmittanceMatrix:
                         nxt.append(v)
             frontier = nxt
         if len(seen) != n:
-            raise NetworkError(f"network graph is disconnected ({len(seen)} of {n} nodes reachable)")
-        if not self.partition.covers(n):
-            raise NetworkError("partition must cover every node exactly once")
+            raise NetworkError(f"network graph is disconnected: nodes {sorted(k + 1 for k in nodes - seen)} "
+                               "cannot be reached from node 1")
         Y = np.zeros((n, n))
         with np.errstate(over="ignore"):  # an overflow is rejected below
             np.add.at(Y, (np.array(rows, dtype=int), np.array(cols, dtype=int)), vals)
         # Each |off-diagonal entry| sums some of the terms of its row's diagonal, so it is no larger.
         for k in np.flatnonzero(np.diagonal(Y) == math.inf)[:1]:
-            raise NetworkError(f"the conductances of the lines at node {k} sum past the largest double")
+            raise NetworkError(f"the conductances of the lines at node {k + 1} sum past the largest double")
         Y.flags.writeable = False
         object.__setattr__(self, "Y", Y)
 

@@ -3,7 +3,11 @@
 Scenarios are JSON with explicit units in field names (``R_ohm``,
 ``C_farad``, ``P_watt``); unit mistakes are the dominant failure mode in
 grid tooling.  Node ids in the file are 1-based, matching the usual
-benchmark numbering; everything internal is 0-based.
+benchmark numbering; everything internal is 0-based.  The loader checks the
+file's shape and types only: every topology rule (self-loops, resistance
+signs and overflow, the source/load partition, connectivity) is decided by
+the :mod:`dstab.network` constructors, whose errors name the file's 1-based
+node ids as well.
 """
 
 from __future__ import annotations
@@ -130,29 +134,12 @@ def load_scenario(path: str | Path, region: Region | None = None) -> Scenario:
             raise ScenarioError(f"edge {e!r} must be [i, j, R_ohm]")
         i = _node_index(e[0], n_nodes, "edges")
         j = _node_index(e[1], n_nodes, "edges")
-        if i == j:
-            raise ScenarioError(f"edge ({e[0]}, {e[1]}) joins node {e[0]} to itself")
-        r = _finite(e[2], f"resistance of edge ({e[0]}, {e[1]})")
-        if r <= 0:
-            raise ScenarioError(f"edge ({e[0]}, {e[1]}) needs a positive resistance, got {r!r}")
-        if 1.0 / r == math.inf:
-            raise ScenarioError(f"edge ({e[0]}, {e[1]}) has resistance {r!r}, whose conductance 1/R overflows")
-        edges.append((i, j, r))
-
+        edges.append((i, j, _finite(e[2], f"resistance of edge ({e[0]}, {e[1]})")))
     sources, loads = (
         tuple(_node_index(k, n_nodes, f"topology.{key}") for k in _list(_need(topo, key, "topology"), f"topology.{key}"))
         for key in ("sources", "loads")
     )
-    both = sorted(set(sources) & set(loads))
-    if both:
-        raise ScenarioError(f"nodes {[k + 1 for k in both]} appear in both topology.sources and topology.loads")
-    for key, ids in (("sources", sources), ("loads", loads)):
-        if len(set(ids)) != len(ids):
-            twice = sorted({k + 1 for k in ids if ids.count(k) > 1})
-            raise ScenarioError(f"topology.{key} lists nodes {twice} more than once")
-    if len(sources) + len(loads) != n_nodes:
-        raise ScenarioError("topology.sources and topology.loads must cover every node exactly once")
-    partition = NodePartition(sources, loads)
+    network = AdmittanceMatrix(edges, n_nodes, NodePartition(sources, loads))
 
     blocks = _need(raw, "devices", "scenario")
     if not isinstance(blocks, list) or len(blocks) != n_nodes:
@@ -163,7 +150,7 @@ def load_scenario(path: str | Path, region: Region | None = None) -> Scenario:
         if device_list[node] is not None:
             raise ScenarioError(f"duplicate device for node {node + 1}")
         device_list[node] = params
-    dev.check_roles(device_list, partition)  # type: ignore[arg-type]
+    dev.check_roles(device_list, network.partition)  # type: ignore[arg-type]
 
     try:
         file_region = region_from_spec(_need(raw, "region", "scenario"))
@@ -261,7 +248,7 @@ def load_scenario(path: str | Path, region: Region | None = None) -> Scenario:
         t_end=t_end,
         dt=dt,
         band=band,
-        network=AdmittanceMatrix(edges, n_nodes, partition),  # validates connectivity
+        network=network,
     )
 
 

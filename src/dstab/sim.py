@@ -99,7 +99,7 @@ def simulate(m: SystemModel, d: DisturbanceSpec, t_end: float, dt: float) -> Tra
         raise ValueError("t_end must exceed the end of the disturbance pulse")
     part = m.network.partition
     if d.node not in part.load_ids:
-        raise ValueError(f"disturbance node {d.node} is not a load node")
+        raise ValueError(f"disturbance node {d.node + 1} is not a load node")
     if m.load_cy is None or m.equilibrium_u is None:
         raise DstabError("simulation needs load parameters and an equilibrium on the model")
 

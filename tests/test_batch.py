@@ -68,7 +68,7 @@ def test_batched_reports_are_the_one_row_reports(tmp_path, case):
         batched = [compliance_text(rep) for rep in dev.check_compliance(fleet, code)]
         assert batched == [compliance_text(dev.check_compliance([g], code)[0]) for g in fleet]
 
-        num, den, reports = part_positivity(model, part, index)
+        num, den, reports = part_positivity(model, part, index, None)
         one_row = []
         for g, rho in zip(model.subsystems, model.part_rho(part, index)):
             g_tilde = dev.loop_transform(g, part, rho)

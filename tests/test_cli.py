@@ -268,13 +268,23 @@ class TestCheck:
 # node ids, with the exact error message.
 TOPOLOGY_ERRORS = {
     "source-also-load": (lambda raw: raw["topology"].update(loads=[3, 2]),
-                         "nodes [2] appear in both topology.sources and topology.loads"),
+                         "nodes [2] appear in both the sources and the loads"),
     "repeated-source": (lambda raw: raw["topology"].update(sources=[1, 2, 1]),
-                        "topology.sources lists nodes [1] more than once"),
+                        "the sources list nodes [1] more than once"),
+    "repeated-load": (lambda raw: raw["topology"].update(loads=[3, 3]),
+                      "the loads list nodes [3] more than once"),
+    "uncovered-node": (lambda raw: raw["topology"].update(sources=[1]),
+                       "nodes [2] are neither sources nor loads"),
     "self-loop": (lambda raw: raw["topology"]["edges"].__setitem__(0, [3, 3, 0.1]),
                   "edge (3, 3) joins node 3 to itself"),
+    "negative-resistance": (lambda raw: raw["topology"]["edges"][0].__setitem__(2, -0.1),
+                            "edge (1, 3) needs a positive finite resistance, got -0.1"),
     "conductance-overflow": (lambda raw: raw["topology"]["edges"][0].__setitem__(2, 1e-310),
                              "edge (1, 3) has resistance 1e-310, whose conductance 1/R overflows"),
+    "disconnected": (lambda raw: raw["topology"].update(edges=[[1, 3, 0.1]]),
+                     "network graph is disconnected: nodes [2] cannot be reached from node 1"),
+    "conductance-sum-overflow": (lambda raw: raw["topology"].update(edges=[[1, 3, 1e-308], [2, 3, 1e-308]]),
+                                 "the conductances of the lines at node 3 sum past the largest double"),
 }
 
 
@@ -395,12 +405,11 @@ class TestInputContract:
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": "input", "message": message}
 
-    @pytest.mark.parametrize("case", ["resistance-nan", *TOPOLOGY_ERRORS, "conductance-sum-overflow"])
+    @pytest.mark.parametrize("case", ["resistance-nan", *TOPOLOGY_ERRORS])
     def test_topology_errors_print_one_error_object_under_warnings_as_errors(self, tmp_path, case):
         # In a fresh interpreter in which a numpy RuntimeWarning is an exception (exit 3, internal).
         mutate = {
             "resistance-nan": lambda raw: raw["topology"]["edges"][0].__setitem__(2, math.nan),
-            "conductance-sum-overflow": lambda raw: raw["topology"].update(edges=[[1, 3, 1e-308], [2, 3, 1e-308]]),
         }.get(case) or TOPOLOGY_ERRORS[case][0]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
         proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "dstab.cli", "check",

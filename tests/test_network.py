@@ -71,23 +71,24 @@ class TestBuild:
 
     @pytest.mark.parametrize("r", [-0.1, math.nan, math.inf])
     def test_resistance_must_be_positive_and_finite(self, r):
-        with pytest.raises(NetworkError, match=r"^line resistance must be positive and finite, got .* on \(0, 1\)$"):
+        with pytest.raises(NetworkError, match=r"^edge \(1, 2\) needs a positive finite resistance, got .*$"):
             AdmittanceMatrix([(0, 1, r)], 2, NodePartition((0,), (1,)))
 
     @pytest.mark.parametrize("i, j", [(1, 1), (0, 2), (-1, 0)])
     def test_bad_edge_rejected(self, i, j):
-        with pytest.raises(NetworkError, match=rf"^bad edge \({i}, {j}\) for 2 nodes$"):
+        fault = "joins node 2 to itself" if i == j else r"names a node outside 1\.\.2"
+        with pytest.raises(NetworkError, match=rf"^edge \({i + 1}, {j + 1}\) {fault}$"):
             AdmittanceMatrix([(0, 1, 0.1), (i, j, 0.1)], 2, NodePartition((0,), (1,)))
 
     def test_overflowing_conductance_names_the_line(self):
         # 1/R overflows below R = 1/DBL_MAX, about 5.6e-309.
         AdmittanceMatrix([(0, 1, 5.6e-309)], 2, NodePartition((0,), (1,)))
-        with pytest.raises(NetworkError, match=r"^line \(1, 0\) has resistance 1e-310, whose conductance 1/R overflows$"):
+        with pytest.raises(NetworkError, match=r"^edge \(2, 1\) has resistance 1e-310, whose conductance 1/R overflows$"):
             AdmittanceMatrix([(0, 1, 0.1), (1, 0, 1e-310)], 2, NodePartition((0,), (1,)))
 
     def test_overflowing_conductance_sum_names_the_node(self):
-        # Each line's conductance is finite; the two at node 1 sum past DBL_MAX.
-        with pytest.raises(NetworkError, match="^the conductances of the lines at node 1 sum past the largest double$"):
+        # Each line's conductance is finite; the two at the middle node (node 2) sum past DBL_MAX.
+        with pytest.raises(NetworkError, match="^the conductances of the lines at node 2 sum past the largest double$"):
             AdmittanceMatrix([(0, 1, 1e-308), (1, 2, 1e-308)], 3, NodePartition((0, 1), (2,)))
 
     def test_lines_are_normalized_and_y_is_read_only(self):
@@ -129,12 +130,35 @@ class TestBuild:
         assert parallel == 250 and reversed_ == 250
 
     def test_disconnected_rejected(self):
-        with pytest.raises(NetworkError):
+        with pytest.raises(NetworkError, match=r"^network graph is disconnected: nodes \[3\] cannot be reached from node 1$"):
             AdmittanceMatrix([(0, 1, 0.1)], 3, NodePartition((0, 1), (2,)))
 
     def test_partition_must_cover(self):
-        with pytest.raises(NetworkError):
+        with pytest.raises(NetworkError, match=r"^nodes \[2\] are neither sources nor loads$"):
             AdmittanceMatrix([(0, 1, 0.1), (1, 2, 0.1)], 3, NodePartition((0,), (2,)))
+        with pytest.raises(NetworkError, match=r"^the partition names nodes \[6\] outside 1\.\.2$"):
+            AdmittanceMatrix([(0, 1, 0.1)], 2, NodePartition((0,), (1, 5)))
+
+    @pytest.mark.parametrize("lines, sources, loads, message", [
+        ([(0, 2, 0.1), (1, 2, 0.1)], (0, 1), (2, 1), "nodes [2] appear in both the sources and the loads"),
+        ([(0, 2, 0.1), (1, 2, 0.1)], (0, 1, 0), (2,), "the sources list nodes [1] more than once"),
+        ([(0, 2, 0.1), (1, 2, 0.1)], (0, 1), (2, 2), "the loads list nodes [3] more than once"),
+        ([(0, 2, 0.1), (1, 2, 0.1)], (0,), (2,), "nodes [2] are neither sources nor loads"),
+        ([(2, 2, 0.1), (1, 2, 0.1)], (0, 1), (2,), "edge (3, 3) joins node 3 to itself"),
+        ([(0, 2, -0.1), (1, 2, 0.1)], (0, 1), (2,), "edge (1, 3) needs a positive finite resistance, got -0.1"),
+        ([(0, 2, 1e-310), (1, 2, 0.1)], (0, 1), (2,),
+         "edge (1, 3) has resistance 1e-310, whose conductance 1/R overflows"),
+        ([(0, 2, 0.1)], (0, 1), (2,), "network graph is disconnected: nodes [2] cannot be reached from node 1"),
+        ([(0, 2, 1e-308), (1, 2, 1e-308)], (0, 1), (2,),
+         "the conductances of the lines at node 3 sum past the largest double"),
+    ], ids=["source-also-load", "repeated-source", "repeated-load", "uncovered-node", "self-loop",
+            "negative-resistance", "conductance-overflow", "disconnected", "conductance-sum-overflow"])
+    def test_topology_errors_name_file_nodes(self, lines, sources, loads, message):
+        # toy3's network (0-based) with one defect each: the constructors word every
+        # error with the scenario file's 1-based ids, as the CLI prints them.
+        with pytest.raises(NetworkError) as caught:
+            AdmittanceMatrix(lines, 3, NodePartition(sources, loads))
+        assert str(caught.value) == message
 
     def test_laplacian_zero_mode(self, rng):
         for _ in range(10):

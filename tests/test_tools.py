@@ -1,7 +1,8 @@
 """The tooling: ``tools/report_diff.py`` separates moved floats from every
 other difference between two ``tools/cli_reports.py`` directories,
 ``tools/cli_reports.py`` records a child's warnings without their location
-and writes ``simulate`` reports over longer files,
+and its error objects, runs the topology defects the CLI tests pin and
+writes ``simulate`` reports over longer files,
 the functions the benchmark traces exist, no module imports a name it
 never reads, every public name in ``src/dstab`` has a caller outside the
 tests, and only ``dstab.devices`` tells one device class from another."""
@@ -18,6 +19,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_cli import TOPOLOGY_ERRORS
 
 ROOT = Path(__file__).resolve().parent.parent
 REPORT_DIFF = ROOT / "tools" / "report_diff.py"
@@ -81,6 +83,28 @@ def test_report_tool_keeps_category_and_message_of_a_warning(tmp_path):
     [(category, message)] = cli_reports.WARNING_LINE.findall(proc.stderr)
     assert category == "RuntimeWarning"
     assert message.startswith("step dt = 0.001 s is unstable for RK4: a decaying mode has |R(dt*eig)| = ")
+
+
+def test_report_tool_records_the_error_object_of_each_topology_defect(tmp_path):
+    cli_reports = load_cli_reports()
+    toy3 = (ROOT / "src" / "dstab" / "data" / "toy3.json").read_text()
+    assert list(cli_reports.TOPOLOGY_DEFECTS) == [f"toy3-{case}" for case in TOPOLOGY_ERRORS]
+    for (mutate, _), tool_mutate in zip(TOPOLOGY_ERRORS.values(), cli_reports.TOPOLOGY_DEFECTS.values()):
+        raw, tool_raw = json.loads(toy3), json.loads(toy3)
+        mutate(raw)
+        tool_mutate(tool_raw)
+        assert raw == tool_raw
+    mutate, message = TOPOLOGY_ERRORS["conductance-sum-overflow"]
+    raw = json.loads(toy3)
+    mutate(raw)
+    scenario = tmp_path / "sum-overflow.json"
+    scenario.write_text(json.dumps(raw))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-m", "dstab.cli", "check", str(scenario)], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 2
+    assert [json.loads(obj) for obj in cli_reports.ERROR_LINE.findall(proc.stderr)] == [
+        {"error": "input", "message": message}]
 
 
 def test_report_tool_writes_simulate_over_a_longer_file(tmp_path):

@@ -11,7 +11,9 @@ three-part ``--region``, a region that fails the network damping assumption,
 ``ieee39_default`` under a single sector, ``toy3`` under a tilted
 half-plane, a region without a closed-form synthesis bound, and a tilted
 half-plane that also fails the damping assumption, where the damping verdict
-must name the binding condition.  Every shipped
+must name the binding condition.  It runs ``check`` on copies of ``toy3``
+with one topology defect each (see ``TOPOLOGY_DEFECTS``), whose error
+objects name the file's nodes.  Every shipped
 scenario pins its equilibrium, so the tool also runs every command, ``simulate``
 included, on the seed-1 meshes of 64, 200 and 640 nodes from
 ``bench/meshgen.py`` (see ``MESHES``), which resolve their operating point by
@@ -24,6 +26,8 @@ Newton power flow.  It writes
 * ``exit_codes.txt`` -- one ``<scenario> <command> <exit code>`` line per run,
 * ``warnings.txt`` -- one ``<scenario> <command> <category>: <message>`` line
   per warning a run printed, without its file and line,
+* ``errors.txt`` -- one ``<scenario> <command> <error object>`` line per run
+  that printed a JSON error object on stderr,
 
 where ``<scenario>`` is a shipped name or a variant label.  Child stderr
 (warnings, error objects) is also passed through to this tool's stderr.
@@ -73,10 +77,24 @@ VARIANTS = {
     "toy3-halfplane": ("toy3", ["--region", '{"kind":"halfplane","theta0":0.3,"omega0":0,"sigma0":-1}']),
     "toy3-failed-damping-halfplane": ("toy3", ["--region", '{"kind":"halfplane","theta0":0.3,"omega0":0,"sigma0":-20000}']),
 }
+# label -> a change to toy3's JSON that leaves it with one topology defect
+TOPOLOGY_DEFECTS = {
+    "toy3-source-also-load": lambda raw: raw["topology"].update(loads=[3, 2]),
+    "toy3-repeated-source": lambda raw: raw["topology"].update(sources=[1, 2, 1]),
+    "toy3-repeated-load": lambda raw: raw["topology"].update(loads=[3, 3]),
+    "toy3-uncovered-node": lambda raw: raw["topology"].update(sources=[1]),
+    "toy3-self-loop": lambda raw: raw["topology"]["edges"].__setitem__(0, [3, 3, 0.1]),
+    "toy3-negative-resistance": lambda raw: raw["topology"]["edges"][0].__setitem__(2, -0.1),
+    "toy3-conductance-overflow": lambda raw: raw["topology"]["edges"][0].__setitem__(2, 1e-310),
+    "toy3-disconnected": lambda raw: raw["topology"].update(edges=[[1, 3, 0.1]]),
+    "toy3-conductance-sum-overflow": lambda raw: raw["topology"].update(edges=[[1, 3, 1e-308], [2, 3, 1e-308]]),
+}
 # label -> (nodes, seed) of a bench/meshgen.py mesh
 MESHES = {"mesh-n64-s1": (64, 1), "mesh-n200-s1": (200, 1), "mesh-n640-s1": (640, 1)}
 # The first line of a warning as Python prints it: "<file>:<line>: <category>: <message>".
 WARNING_LINE = re.compile(r"^\S.*:\d+: (\w+): (.*)$", re.MULTILINE)
+# The one-line JSON error object the CLI prints before a nonzero exit.
+ERROR_LINE = re.compile(r'^\{"error":.*\}$', re.MULTILINE)
 STALE_TAIL = b"stale tail of an earlier, longer report\n" * 64
 
 
@@ -96,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
     outdir = parser.parse_args(argv).outdir
     outdir.mkdir(parents=True, exist_ok=True)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
-    codes, caught = [], []
+    codes, caught, errors = [], [], []
 
     def run(name: str, label: str, args: list[str], scenario: Path, extra: list[str]) -> None:
         argv_cli = [sys.executable, "-m", "dstab.cli", *args, str(scenario), *extra]
@@ -108,6 +126,7 @@ def main(argv: list[str] | None = None) -> int:
             err = proc.stderr.decode(errors="replace")
             sys.stderr.write(f"[{name} {label}] " + err)
             caught.extend(f"{name} {label} {category}: {message}\n" for category, message in WARNING_LINE.findall(err))
+            errors.extend(f"{name} {label} {obj}\n" for obj in ERROR_LINE.findall(err))
         codes.append(f"{name} {label} {proc.returncode}\n")
 
     for name in SCENARIOS:
@@ -125,6 +144,12 @@ def main(argv: list[str] | None = None) -> int:
             for label, args in COMMANDS:
                 if label != "simulate":
                     run(variant, label, args, scenario, extra)
+        for variant, mutate in TOPOLOGY_DEFECTS.items():
+            raw = json.loads((DATA / "toy3.json").read_text())
+            mutate(raw)
+            scenario = Path(tmp) / f"{variant}.json"
+            scenario.write_text(json.dumps(raw))
+            run(variant, "check2", ["check", "--theorem", "2"], scenario, [])
         for variant, (n, seed) in MESHES.items():
             scenario = meshgen.write_scenario(meshgen.mesh_scenario(n, seed), Path(tmp) / f"{variant}.json")
             for label, args in COMMANDS:
@@ -133,6 +158,7 @@ def main(argv: list[str] | None = None) -> int:
 
     (outdir / "exit_codes.txt").write_text("".join(codes))
     (outdir / "warnings.txt").write_text("".join(caught))
+    (outdir / "errors.txt").write_text("".join(errors))
     sys.stdout.write("".join(codes))
     return 0
 
