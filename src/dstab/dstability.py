@@ -28,6 +28,15 @@ from .positivity import PositivityReport, check_positive_rows
 from .regions import HalfPlaneRegion, Region, parts, region_to_spec
 
 
+def check_index_table(rows: Sequence, n_sources: int, n_parts: int) -> None:
+    """Raise ValueError unless each of ``rows`` lists one index per source and there is one
+    row or one per region part: the one y_s check of SystemModel and the scenario loader."""
+    if any(not isinstance(row, (list, tuple)) or len(row) != n_sources for row in rows):
+        raise ValueError(f"each y_s row must list {n_sources} source indices")
+    if len(rows) not in (1, n_parts):
+        raise ValueError(f"y_s needs 1 row or one row per region part ({n_parts}), got {len(rows)}")
+
+
 @dataclass(frozen=True)
 class SystemModel:
     """Interconnected small-signal model: one SISO subsystem per node coupled
@@ -66,11 +75,7 @@ class SystemModel:
         if self.load_cy is not None and len(self.load_cy) != len(self.network.partition.load_ids):
             raise ValueError("load_cy must align with the load partition")
         if self.y_s is not None:
-            if len(self.y_s) not in (1, self.n_parts):
-                raise ValueError(f"y_s needs 1 row or one per region part ({self.n_parts}), got {len(self.y_s)}")
-            n_s = len(self.network.partition.source_ids)
-            if any(len(row) != n_s for row in self.y_s):
-                raise ValueError(f"each y_s row must list {n_s} source indices")
+            check_index_table(self.y_s, len(self.network.partition.source_ids), self.n_parts)
 
     @property
     def n_parts(self) -> int:

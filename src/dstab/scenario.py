@@ -7,7 +7,9 @@ benchmark numbering; everything internal is 0-based.  The loader checks the
 file's shape and types only: every topology rule (self-loops, resistance
 signs and overflow, the source/load partition, connectivity) is decided by
 the :mod:`dstab.network` constructors, whose errors name the file's 1-based
-node ids as well.
+node ids as well.  Likewise the rules of a simulation run are decided by
+:func:`dstab.sim.pulse_steps` and those of a pinned y_s table by
+:func:`dstab.dstability.check_index_table`, which the library applies too.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from .cpoly import TRIM_TOL
 from .errors import ScenarioError
 from .network import AdmittanceMatrix, GridCode, NodePartition, grid_code
 from .regions import Region, parts, region_from_spec
-from .sim import DisturbanceSpec
-from .dstability import SystemModel
+from .sim import DisturbanceSpec, pulse_steps
+from .dstability import SystemModel, check_index_table
 
 def data_path(name: str) -> Path:
     """Path of a shipped scenario (``toy3``, ``ieee39_default``,
@@ -179,20 +181,16 @@ def load_scenario(path: str | Path, region: Region | None = None) -> Scenario:
         if not isinstance(table, list) or not table:
             raise ScenarioError("y_s must be a nonempty list")
         rows = table if isinstance(table[0], list) else [table]
-        for row in rows:
-            if not isinstance(row, list) or len(row) != len(sources):
-                raise ScenarioError(f"each y_s row must list {len(sources)} source indices")
-        n_parts = len(parts(region))
-        if len(rows) not in (1, n_parts):
-            raise ScenarioError(f"y_s needs 1 row or one row per region part ({n_parts}), got {len(rows)}")
+        try:
+            check_index_table(rows, len(sources), len(parts(region)))
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
         y_s = [[_finite(v, "y_s entry") for v in row] for row in rows]
 
     disturbance = None
     if "disturbance" in raw and raw["disturbance"] is not None:
         d = raw["disturbance"]
         node = _node_index(_need(d, "node", "disturbance"), n_nodes, "disturbance")
-        if node not in loads:
-            raise ScenarioError(f"disturbance node {d['node']} is not a load node")
         try:
             disturbance = DisturbanceSpec(
                 node=node,
@@ -213,43 +211,18 @@ def load_scenario(path: str | Path, region: Region | None = None) -> Scenario:
         _num(sim_block, key, "simulation") if key in sim_block else default
         for key, default in (("t_end_s", 0.5), ("dt_s", 1e-4), ("band", 0.02))
     )
-    for key, value in (("t_end_s", t_end), ("dt_s", dt)):
-        if not (math.isfinite(value) and value > 0):
-            raise ScenarioError(f"simulation.{key} must be a finite positive number, got {value!r}")
+    try:
+        pulse_steps(disturbance, t_end, dt, network.partition.load_ids)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
     if not 0.0 < band < 1.0:
         raise ScenarioError(f"simulation.band must lie in (0, 1), got {band!r}")
-    if disturbance is not None and t_end <= disturbance.start + disturbance.duration:
-        raise ScenarioError(
-            f"simulation.t_end_s ({t_end!r}) must exceed the end of the disturbance pulse "
-            f"({disturbance.start + disturbance.duration!r})"
-        )
-    if disturbance is not None:
-        # sim.simulate samples the pulse at i * spacing + dt/2, i < n_steps, on its np.linspace grid.
-        start, end, ratio = disturbance.start, disturbance.start + disturbance.duration, t_end / dt
-        n_steps = round(ratio) if math.isfinite(ratio) else 0
-        spacing = n_steps * dt / max(n_steps, 1)
-        near = math.ceil(min(max(start / dt - 0.5, 0.0), n_steps))
-        if not any(start <= i * spacing + dt / 2 < end for i in range(max(near - 2, 0), min(near + 3, n_steps))):
-            raise ScenarioError(
-                f"simulation.t_end_s / dt_s ({t_end!r} / {dt!r}) must give a finite step count with a step "
-                f"midpoint in the disturbance pulse [{start!r}, {end!r})"
-            )
     nominal = _num(raw, "nominal_voltage_volt", "scenario")
     if nominal <= 0:
         raise ScenarioError(f"nominal_voltage_volt must be a finite positive number, got {nominal!r}")
-    return Scenario(
-        name=name,
-        nominal_voltage=nominal,
-        devices=device_list,  # type: ignore[arg-type]
-        region=region,
-        pinned_equilibrium=pinned,
-        y_s=y_s,
-        disturbance=disturbance,
-        t_end=t_end,
-        dt=dt,
-        band=band,
-        network=network,
-    )
+    return Scenario(name=name, nominal_voltage=nominal, devices=device_list,  # type: ignore[arg-type]
+                    region=region, pinned_equilibrium=pinned, y_s=y_s, disturbance=disturbance,
+                    t_end=t_end, dt=dt, band=band, network=network)
 
 
 def resolve_equilibrium(sc: Scenario) -> dev.Equilibrium:

@@ -5,6 +5,7 @@ The load disturbance is modeled as an additive current injection of
 equivalent of a fractional load-power step), integrated with fixed-step RK4
 through its exact one-step propagator, or stage by stage below 2N steps (N states),
 on the state layout of the oracle's realization in :mod:`dstab.dstability`.
+:func:`pulse_steps` holds the one set of run rules, which the scenario loader applies too.
 """
 
 from __future__ import annotations
@@ -84,22 +85,50 @@ class Trajectory:
         object.__setattr__(self, "du", du)
 
 
+def pulse_steps(d: DisturbanceSpec | None, t_end: float, dt: float, load_ids: tuple[int, ...]) -> tuple[int, int, int]:
+    """The rules of a run, decided once for :func:`simulate` and the scenario loader, in the file's terms:
+    ValueError unless t_end and dt are finite and positive, the disturbed node is a load, t_end is past the
+    pulse, and round(t_end / dt) is finite and puts a step midpoint, where the pulse is sampled, in it.
+    Returns the step count and the window [first, stop) of those steps (a pulse edge that is not finite
+    leaves it empty); without a disturbance only the first rule applies."""
+    for key, value in (("t_end_s", t_end), ("dt_s", dt)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"simulation.{key} must be a finite positive number, got {value!r}")
+    if d is None:
+        return 0, 0, 0
+    if d.node not in load_ids:
+        raise ValueError(f"disturbance node {d.node + 1} is not a load node")
+    start, end = d.start, d.start + d.duration
+    if t_end <= end:
+        raise ValueError(f"simulation.t_end_s ({t_end!r}) must exceed the end of the disturbance pulse ({end!r})")
+    n_steps = round(t_end / dt) if math.isfinite(t_end / dt) else 0
+    window = [0, 0]  # the first step whose midpoint is at or past each edge
+    if n_steps and math.isfinite(start) and math.isfinite(end):
+        # np.linspace(0, n_steps * dt, n_steps + 1) puts step i's midpoint at i * spacing + dt/2, rising with i;
+        # below 2**50 steps (edge - dt/2) / spacing is off by under a step, so two steps either side are searched.
+        spacing = n_steps * dt / n_steps
+        for k, edge in enumerate((start, end)):
+            guess = (edge - dt / 2) / spacing
+            near = math.ceil(guess) if 0.0 < guess < n_steps else (n_steps if guess >= n_steps else 0)
+            last = min(near + 2, n_steps)
+            window[k] = next((i for i in range(max(near - 2, 0), last) if i * spacing + dt / 2 >= edge), last)
+    first, stop = window
+    if not first < stop:
+        raise ValueError(f"simulation.t_end_s / dt_s ({t_end!r} / {dt!r}) must give a finite step count with a step "
+                         f"midpoint in the disturbance pulse [{start!r}, {end!r})")
+    return n_steps, first, stop
+
+
 def simulate(m: SystemModel, d: DisturbanceSpec, t_end: float, dt: float) -> Trajectory:
     """Integrate the disturbed closed-loop model over [0, t_end].
 
     Warns (without aborting) when RK4 at step ``dt`` amplifies a decaying
     closed-loop mode, and raises DivergenceError when the trajectory
-    overflows to a non-finite value.
+    overflows to a non-finite value; a run :func:`pulse_steps` refuses
+    raises its ValueError before any array is built.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if not math.isfinite(t_end / dt):
-        raise ValueError(f"t_end / dt ({t_end!r} / {dt!r}) gives a step count of {t_end / dt!r}, not a finite one")
-    if t_end <= d.start + d.duration:
-        raise ValueError("t_end must exceed the end of the disturbance pulse")
     part = m.network.partition
-    if d.node not in part.load_ids:
-        raise ValueError(f"disturbance node {d.node + 1} is not a load node")
+    n_steps, on, off = pulse_steps(d, t_end, dt, part.load_ids)
     if m.load_cy is None or m.equilibrium_u is None:
         raise DstabError("simulation needs load parameters and an equilibrium on the model")
 
@@ -123,10 +152,8 @@ def simulate(m: SystemModel, d: DisturbanceSpec, t_end: float, dt: float) -> Tra
                 stacklevel=2,
             )
 
-    load_pos = part.load_ids.index(d.node)
-    c_l, y_l = m.load_cy[load_pos]
-    u_star = m.equilibrium_u[d.node]
-    amps = d.magnitude * y_l * u_star  # magnitude * P / u*
+    _, y_l = m.load_cy[part.load_ids.index(d.node)]
+    amps = d.magnitude * y_l * m.equilibrium_u[d.node]  # magnitude * P / u*
 
     # Input column of the disturbed subsystem; an extra load draw enters the
     # device input with the same sign as the network current.  Node k's output
@@ -141,18 +168,15 @@ def simulate(m: SystemModel, d: DisturbanceSpec, t_end: float, dt: float) -> Tra
         """C @ states for a state vector or a matrix of state columns."""
         return np.einsum("kw,kw...->k...", out_coef, states[out_idx])
 
-    n_steps = int(round(t_end / dt))
     try:
         t = np.linspace(0.0, n_steps * dt, n_steps + 1)
-        # The pulse is held constant over each step (sampled at the midpoint);
-        # exact whenever the edges align with the time grid.
-        mid = t[:-1] + 0.5 * dt
-        w = ((d.start <= mid) & (mid < d.start + d.duration)).astype(float)
         du = np.zeros((n_steps + 1, n_nodes))
     except (MemoryError, ValueError, IndexError) as exc:  # numpy's refusals of arrays past its size limit
         raise DstabError(f"cannot allocate the time grid and trajectory of {n_steps} RK4 steps: {exc}") from exc
     x = np.zeros(n_states)
-    starts = np.flatnonzero(np.diff(w, prepend=-1.0)).tolist()  # first step of each run
+    # The pulse is held constant over each step (sampled at the midpoint), so
+    # the input is 0, 1, 0 over three runs of steps; an empty run takes no step.
+    runs = ((0, on, 0.0), (on, off, 1.0), (off, n_steps, 0.0))
 
     # Fewer than 2N steps cannot pay for P below (N^3): they take RK4's stages on hA's nonzeros.
     block = min(_MAX_BLOCK, n_steps // n_states)
@@ -162,8 +186,8 @@ def simulate(m: SystemModel, d: DisturbanceSpec, t_end: float, dt: float) -> Tra
         rows, cols = np.nonzero(nz)
         h_vals, heads = dt * a_cl[rows, cols], np.flatnonzero(np.diff(rows, prepend=-1))
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-            for start, stop in zip(starts, starts[1:] + [n_steps]):
-                h_bw = dt * w[start] * b_d
+            for start, stop, w_run in runs:
+                h_bw = dt * w_run * b_d
                 for step in range(start, stop):
                     k1 = np.add.reduceat(h_vals * x[cols], heads) + h_bw
                     k2 = np.add.reduceat(h_vals * (x + k1 / 2)[cols], heads) + h_bw
@@ -209,9 +233,7 @@ def simulate(m: SystemModel, d: DisturbanceSpec, t_end: float, dt: float) -> Tra
         p_block = np.linalg.matrix_power(p, block)
 
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-            for start, stop in zip(starts, starts[1:] + [n_steps]):
-                w_run = w[start]
-                step = start
+            for step, stop, w_run in runs:
                 while stop - step >= block:
                     du[step + 1 : step + block + 1] = (maps @ x).reshape(block, n_nodes) + w_run * forced
                     x = p_block @ x + w_run * s[-1]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -288,6 +289,34 @@ TOPOLOGY_ERRORS = {
 }
 
 
+# Simulation blocks that load_scenario rejects, each a change to toy3 with one defect.
+BAD_SIMULATION_BLOCKS = {
+    "dt-negative": lambda raw: raw["simulation"].update(dt_s=-1e-4),
+    "dt-zero": lambda raw: raw["simulation"].update(dt_s=0),
+    "dt-nan": lambda raw: raw["simulation"].update(dt_s=math.nan),
+    "t-end-inf": lambda raw: raw["simulation"].update(t_end_s=math.inf),
+    # before the end of the pulse (0.05 s + 0.02 s)
+    "t-end-in-pulse": lambda raw: raw["simulation"].update(t_end_s=0.06),
+    # one step, its midpoint 0.025 s before the pulse
+    "no-midpoint-in-pulse": lambda raw: raw["simulation"].update(t_end_s=0.074, dt_s=0.05),
+    "zero-steps": lambda raw: raw["simulation"].update(t_end_s=0.08, dt_s=0.2),  # round(0.4) = 0 steps
+    # t_end_s / dt_s overflows
+    "step-count-inf": lambda raw: raw["simulation"].update(t_end_s=1e308, dt_s=1e-308),
+    "band-string": lambda raw: raw["simulation"].update(band="x"),
+    "band-zero": lambda raw: raw["simulation"].update(band=0.0),
+    "band-one": lambda raw: raw["simulation"].update(band=1.0),
+    "band-nan": lambda raw: raw["simulation"].update(band=math.nan),
+    "not-an-object": lambda raw: raw.update(simulation=[0.6, 2e-5]),
+}
+
+# Pinned y_s tables with one defect each, with the exact error message.
+Y_S_ERRORS = {
+    "y_s-short-row": (lambda raw: raw.update(y_s=[[0.2143]]), "each y_s row must list 2 source indices"),
+    "y_s-extra-row": (lambda raw: raw.update(y_s=[[0.2143, 0.2679], [99, 99]]),
+                      "y_s needs 1 row or one row per region part (1), got 2"),
+}
+
+
 class TestInputContract:
     @pytest.mark.parametrize(
         "mutate",
@@ -315,6 +344,19 @@ class TestInputContract:
         code, _, err = run(capsys, "check", str(path), *region)
         assert code == 2
         assert "y_s" in err
+
+    @pytest.mark.parametrize("mutate, message", Y_S_ERRORS.values(), ids=Y_S_ERRORS.keys())
+    def test_y_s_error_is_the_model_error(self, capsys, tmp_path, mutate, message):
+        from dstab.scenario import build_model, load_scenario
+
+        path = toy_variant(tmp_path, mutate)
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "input", "message": message}
+        model = build_model(load_scenario(TOY))
+        with pytest.raises(ValueError) as exc:
+            dataclasses.replace(model, y_s=tuple(map(tuple, json.loads(path.read_text())["y_s"])))
+        assert str(exc.value) == message
 
     def test_one_y_s_row_serves_every_part(self, capsys, tmp_path):
         path = toy_variant(tmp_path, lambda raw: raw.update(y_s=[[0.2143, 0.2679]]))
@@ -654,34 +696,9 @@ class TestSimulateCmd:
         code, _, _ = run(capsys, "simulate", str(path))
         assert code == 2
 
-    @pytest.mark.parametrize(
-        "simulation",
-        [
-            {"dt_s": -1e-4},
-            {"dt_s": 0},
-            {"dt_s": math.nan},
-            {"t_end_s": math.inf},
-            {"t_end_s": 0.06},  # before the end of the pulse (0.05 s + 0.02 s)
-            {"t_end_s": 0.074, "dt_s": 0.05},  # one step, its midpoint 0.025 s before the pulse
-            {"t_end_s": 0.08, "dt_s": 0.2},  # round(0.4) = 0 steps
-            {"t_end_s": 1e308, "dt_s": 1e-308},  # t_end_s / dt_s overflows
-            {"band": "x"},
-            {"band": 0.0},
-            {"band": 1.0},
-            {"band": math.nan},
-            [0.6, 2e-5],
-        ],
-        ids=["dt-negative", "dt-zero", "dt-nan", "t-end-inf", "t-end-in-pulse",
-             "no-midpoint-in-pulse", "zero-steps", "step-count-inf", "band-string", "band-zero", "band-one", "band-nan", "not-an-object"],
-    )
+    @pytest.mark.parametrize("mutate", BAD_SIMULATION_BLOCKS.values(), ids=BAD_SIMULATION_BLOCKS.keys())
     @pytest.mark.parametrize("command", ["simulate", "check"])
-    def test_bad_simulation_block_exits_2(self, capsys, tmp_path, simulation, command):
-        def mutate(raw):
-            if isinstance(simulation, dict):
-                raw["simulation"].update(simulation)
-            else:
-                raw["simulation"] = simulation
-
+    def test_bad_simulation_block_exits_2(self, capsys, tmp_path, mutate, command):
         path = toy_variant(tmp_path, mutate)
         code, _, err = run(capsys, command, str(path))
         assert code == 2

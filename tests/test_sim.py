@@ -215,15 +215,26 @@ class TestStagedRoute:
 
 
 class TestPulseOnTheGrid:
-    """`load_scenario` rejects a step grid on which no step midpoint, where
-    `simulate` samples the pulse, falls in [start, start + duration)."""
+    """`sim.pulse_steps` decides the rules of a run once, for `load_scenario`
+    and `simulate`: a step grid on which no step midpoint, where `simulate`
+    samples the pulse, falls in [start, start + duration) is refused by both,
+    and the window it returns is the run of steps whose midpoint does."""
 
-    def test_agrees_with_the_simulated_grid(self, tmp_path, rng):
+    def test_agrees_with_the_simulated_grid(self, tmp_path, rng, monkeypatch):
         from dstab.errors import ScenarioError
-        from dstab.scenario import data_path, load_scenario
+        from dstab.scenario import build_model, data_path, load_scenario
 
         raw = json.loads(data_path("toy3").read_text())
+        model = build_model(load_scenario(data_path("toy3")))
         path = tmp_path / "toy3.json"
+
+        class Accepted(Exception):
+            pass
+
+        def reach_assembly(m):
+            raise Accepted
+
+        monkeypatch.setattr(sim, "assemble_closed_loop", reach_assembly)  # past the run's rules
         verdicts = []
         for _ in range(400):
             dt = float(10.0 ** rng.uniform(-6, 0))
@@ -241,13 +252,22 @@ class TestPulseOnTheGrid:
             raw["disturbance"].update(start_s=start, duration_s=duration)
             raw["simulation"].update(t_end_s=n_steps * dt, dt_s=dt)
             path.write_text(json.dumps(raw))
-            hit = bool(np.any((start <= mid) & (mid < end)))
+            hits = np.flatnonzero((start <= mid) & (mid < end))
+            d = DisturbanceSpec(node=2, magnitude=0.01, start=start, duration=duration)
             try:
                 load_scenario(path)
-                verdicts.append((hit, True))
+                accepted = True
             except ScenarioError as exc:
                 assert "midpoint in the disturbance pulse" in str(exc)
-                verdicts.append((hit, False))
+                accepted = False
+            try:
+                simulate(model, d, t_end=n_steps * dt, dt=dt)
+            except Accepted:
+                assert sim.pulse_steps(d, n_steps * dt, dt, (2,)) == (n_steps, hits[0], hits[-1] + 1)
+                assert accepted and np.array_equal(hits, np.arange(hits[0], hits[-1] + 1))
+            except ValueError as exc:
+                assert not accepted and "midpoint in the disturbance pulse" in str(exc)
+            verdicts.append((hits.size > 0, accepted))
         assert all(hit == accepted for hit, accepted in verdicts)
         assert min(sum(hit for hit, _ in verdicts), sum(not hit for hit, _ in verdicts)) >= 50
 
@@ -320,12 +340,44 @@ class TestSimulate:
         with pytest.raises(DstabError):
             quiet_simulate(bare, d, t_end=0.2, dt=1e-4)
 
-    @pytest.mark.parametrize("t_end, dt", [(1e308, 1e-308), (math.inf, 1e-4), (math.nan, 1e-4)])
-    def test_non_finite_step_count_raises_before_any_array(self, toy_model, monkeypatch, t_end, dt):
+    @pytest.mark.parametrize(
+        "t_end, dt, message",
+        [
+            (1e308, 1e-308, "simulation.t_end_s / dt_s (1e+308 / 1e-308) must give a finite step count with a step "
+                            "midpoint in the disturbance pulse [0.05, 0.07)"),
+            (math.inf, 1e-4, "simulation.t_end_s must be a finite positive number, got inf"),
+            (math.nan, 1e-4, "simulation.t_end_s must be a finite positive number, got nan"),
+        ],
+        ids=["1e+308-1e-308", "inf-0.0001", "nan-0.0001"],
+    )
+    def test_non_finite_step_count_raises_before_any_array(self, toy_model, monkeypatch, t_end, dt, message):
         monkeypatch.setattr(sim, "assemble_closed_loop", None)  # nothing past the argument checks runs
         d = DisturbanceSpec(node=2, magnitude=0.01, start=0.05, duration=0.02)
-        with pytest.raises(ValueError, match=r"^t_end / dt \(.+ / .+\) gives a step count of (inf|nan), not a finite one$"):
+        with pytest.raises(ValueError) as err:
             simulate(toy_model, d, t_end=t_end, dt=dt)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "start, duration, t_end, dt",
+        [
+            (0.05006, 0.00002, 0.2, 1e-4),  # between two step midpoints
+            (math.nan, 0.02, 0.2, 1e-4),
+            (0.05, 0.02, 0.08, 0.2),  # round(0.4) = 0 steps
+            (-1.0, 0.5, -0.1, 1e-3),
+        ],
+        ids=["pulse-between-midpoints", "nan-start", "zero-steps", "negative-t-end"],
+    )
+    def test_grid_the_loader_refuses_raises_before_any_array(self, toy_model, monkeypatch, start, duration, t_end, dt):
+        # each once gave an all-zero trajectory or failed only after A was assembled
+        monkeypatch.setattr(sim, "assemble_closed_loop", None)
+        d = DisturbanceSpec(node=2, magnitude=0.01, start=start, duration=duration)
+        message = (f"simulation.t_end_s / dt_s ({t_end!r} / {dt!r}) must give a finite step count with a step "
+                   f"midpoint in the disturbance pulse [{start!r}, {start + duration!r})")
+        if t_end < 0:
+            message = f"simulation.t_end_s must be a finite positive number, got {t_end!r}"
+        with pytest.raises(ValueError) as err:
+            simulate(toy_model, d, t_end=t_end, dt=dt)
+        assert str(err.value) == message
 
     def test_pulse_must_fit_window(self, toy_model):
         d = DisturbanceSpec(node=2, magnitude=0.01, start=0.15, duration=0.1)

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from test_cli import TOPOLOGY_ERRORS
+from test_cli import BAD_SIMULATION_BLOCKS, TOPOLOGY_ERRORS, Y_S_ERRORS
 
 ROOT = Path(__file__).resolve().parent.parent
 REPORT_DIFF = ROOT / "tools" / "report_diff.py"
@@ -105,6 +105,22 @@ def test_report_tool_records_the_error_object_of_each_topology_defect(tmp_path):
     assert proc.returncode == 2
     assert [json.loads(obj) for obj in cli_reports.ERROR_LINE.findall(proc.stderr)] == [
         {"error": "input", "message": message}]
+
+
+def test_report_tool_runs_the_bad_simulation_blocks_and_y_s_tables():
+    cli_reports = load_cli_reports()
+    toy3 = (ROOT / "src" / "dstab" / "data" / "toy3.json").read_text()
+    cases = {
+        **{f"toy3-simulation-{case}": mutate for case, mutate in BAD_SIMULATION_BLOCKS.items()},
+        **{f"toy3-{case}": mutate for case, (mutate, _) in Y_S_ERRORS.items()},
+    }
+    tool_cases = {**cli_reports.SIMULATION_DEFECTS, **cli_reports.Y_S_DEFECTS}
+    assert list(tool_cases) == list(cases)
+    for mutate, tool_mutate in zip(cases.values(), tool_cases.values()):
+        raw, tool_raw = json.loads(toy3), json.loads(toy3)
+        mutate(raw)
+        tool_mutate(tool_raw)
+        assert json.dumps(raw) == json.dumps(tool_raw)  # NaN entries compare as text
 
 
 def test_report_tool_writes_simulate_over_a_longer_file(tmp_path):

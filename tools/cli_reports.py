@@ -12,8 +12,10 @@ three-part ``--region``, a region that fails the network damping assumption,
 half-plane, a region without a closed-form synthesis bound, and a tilted
 half-plane that also fails the damping assumption, where the damping verdict
 must name the binding condition.  It runs ``check`` on copies of ``toy3``
-with one topology defect each (see ``TOPOLOGY_DEFECTS``), whose error
-objects name the file's nodes.  Every shipped
+with one defect each: in the topology (see ``TOPOLOGY_DEFECTS``), whose
+error objects name the file's nodes, in the simulation block (see
+``SIMULATION_DEFECTS``) and in a pinned ``y_s`` table (see
+``Y_S_DEFECTS``).  Every shipped
 scenario pins its equilibrium, so the tool also runs every command, ``simulate``
 included, on the seed-1 meshes of 64, 200 and 640 nodes from
 ``bench/meshgen.py`` (see ``MESHES``), which resolve their operating point by
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -88,6 +91,27 @@ TOPOLOGY_DEFECTS = {
     "toy3-conductance-overflow": lambda raw: raw["topology"]["edges"][0].__setitem__(2, 1e-310),
     "toy3-disconnected": lambda raw: raw["topology"].update(edges=[[1, 3, 0.1]]),
     "toy3-conductance-sum-overflow": lambda raw: raw["topology"].update(edges=[[1, 3, 1e-308], [2, 3, 1e-308]]),
+}
+# label -> a change to toy3's JSON that leaves its simulation block with one defect
+SIMULATION_DEFECTS = {
+    "toy3-simulation-dt-negative": lambda raw: raw["simulation"].update(dt_s=-1e-4),
+    "toy3-simulation-dt-zero": lambda raw: raw["simulation"].update(dt_s=0),
+    "toy3-simulation-dt-nan": lambda raw: raw["simulation"].update(dt_s=math.nan),
+    "toy3-simulation-t-end-inf": lambda raw: raw["simulation"].update(t_end_s=math.inf),
+    "toy3-simulation-t-end-in-pulse": lambda raw: raw["simulation"].update(t_end_s=0.06),
+    "toy3-simulation-no-midpoint-in-pulse": lambda raw: raw["simulation"].update(t_end_s=0.074, dt_s=0.05),
+    "toy3-simulation-zero-steps": lambda raw: raw["simulation"].update(t_end_s=0.08, dt_s=0.2),
+    "toy3-simulation-step-count-inf": lambda raw: raw["simulation"].update(t_end_s=1e308, dt_s=1e-308),
+    "toy3-simulation-band-string": lambda raw: raw["simulation"].update(band="x"),
+    "toy3-simulation-band-zero": lambda raw: raw["simulation"].update(band=0.0),
+    "toy3-simulation-band-one": lambda raw: raw["simulation"].update(band=1.0),
+    "toy3-simulation-band-nan": lambda raw: raw["simulation"].update(band=math.nan),
+    "toy3-simulation-not-an-object": lambda raw: raw.update(simulation=[0.6, 2e-5]),
+}
+# label -> a change to toy3's JSON that pins a y_s table with one defect
+Y_S_DEFECTS = {
+    "toy3-y_s-short-row": lambda raw: raw.update(y_s=[[0.2143]]),
+    "toy3-y_s-extra-row": lambda raw: raw.update(y_s=[[0.2143, 0.2679], [99, 99]]),
 }
 # label -> (nodes, seed) of a bench/meshgen.py mesh
 MESHES = {"mesh-n64-s1": (64, 1), "mesh-n200-s1": (200, 1), "mesh-n640-s1": (640, 1)}
@@ -144,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
             for label, args in COMMANDS:
                 if label != "simulate":
                     run(variant, label, args, scenario, extra)
-        for variant, mutate in TOPOLOGY_DEFECTS.items():
+        for variant, mutate in {**TOPOLOGY_DEFECTS, **SIMULATION_DEFECTS, **Y_S_DEFECTS}.items():
             raw = json.loads((DATA / "toy3.json").read_text())
             mutate(raw)
             scenario = Path(tmp) / f"{variant}.json"
